@@ -100,9 +100,8 @@ def name_or_bio_matches(
     the name is a known latin-spelled target-community name."""
     if snapshot is None:
         return False
-    if any(lex.in_ranges(ch, cfg.script_ranges) for ch in snapshot.name):
-        return True
-    if any(lex.in_ranges(ch, cfg.script_ranges) for ch in snapshot.bio):
+    script = lex.range_class(cfg.script_ranges)
+    if script.search(snapshot.name) or script.search(snapshot.bio):
         return True
     return snapshot.name.lower() in common_names
 

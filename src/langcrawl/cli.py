@@ -203,6 +203,7 @@ def cmd_crawl(args: argparse.Namespace) -> int:
 
 def cmd_classify(args: argparse.Namespace) -> int:
     store = _load_store(args.store)
+    loaded = store.mutations
     ccfg = (
         ClassifierConfig.from_json(Path(args.config).read_text(encoding="utf-8"))
         if args.config
@@ -222,7 +223,9 @@ def cmd_classify(args: argparse.Namespace) -> int:
 
     paths = _store_paths(args.store)
     paths["root"].mkdir(parents=True, exist_ok=True)
-    store.save(paths["store"])
+    # an unchanged store is left as it is on disk, files and mtimes alike
+    if store.mutations != loaded or not paths["store"].is_dir():
+        store.save(paths["store"])
     report_path = paths["root"] / "classify_report.jsonl"
     with open(report_path, "w", encoding="utf-8") as fh:
         for u, old, new in transitions:

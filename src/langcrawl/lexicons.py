@@ -4,10 +4,17 @@ The package ships small Greek default lexicons under langcrawl/data; every
 consumer (classifier name test, text/sentiment features, simulator token
 pools) reads them through this module so the pieces agree on vocabulary.
 All files are UTF-8; lines starting with # are comments.
+
+The range helpers test code points against inclusive (lo, hi) ranges through
+one compiled regex character class per range tuple, built on first use and
+cached, so counting runs in the regex engine rather than per character in
+Python.
 """
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
+from functools import cache
 from importlib import resources
 from pathlib import Path
 
@@ -23,13 +30,23 @@ EMOJI_RANGES: tuple[tuple[int, int], ...] = (
 )
 
 
+@cache
+def range_class(ranges: tuple[tuple[int, int], ...]) -> re.Pattern:
+    """One character whose code point lies in some inclusive (lo, hi) range."""
+    parts = [
+        f"\\U{max(lo, 0):08x}-\\U{min(hi, 0x10FFFF):08x}"
+        for lo, hi in ranges
+        if max(lo, 0) <= min(hi, 0x10FFFF)
+    ]
+    return re.compile(f"[{''.join(parts)}]" if parts else "(?!)")
+
+
 def in_ranges(ch: str, ranges: tuple[tuple[int, int], ...]) -> bool:
-    cp = ord(ch)
-    return any(lo <= cp <= hi for lo, hi in ranges)
+    return range_class(ranges).fullmatch(ch) is not None
 
 
 def count_in_ranges(s: str, ranges: tuple[tuple[int, int], ...]) -> int:
-    return sum(1 for ch in s if in_ranges(ch, ranges))
+    return len(range_class(ranges).findall(s))
 
 
 @dataclass(frozen=True)

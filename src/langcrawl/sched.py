@@ -375,16 +375,20 @@ class Crawler:
             )
         heapq.heappush(self._profile_heap, (state.profile_fetched_at or -1, u))
 
-    def _push_expected(self, u: UserId, state: CrawlState) -> None:
+    def _eligible_at(self, state: CrawlState) -> Timestamp | None:
+        """When target_batch tweets are expected to have accrued since the
+        last crawl, in whole seconds; None keeps the user off the queue."""
         if state.est_rate <= 0 or state.last_crawled_at is None:
-            return
+            return None
         # empty revisits decay est_rate geometrically; a denormal rate would
         # push the wait past float range, so cap it at a year out
         wait = int(min(self.cfg.target_batch / state.est_rate, 365.0) * DAY)
-        heapq.heappush(
-            self._expected_heap,
-            (state.last_crawled_at + wait, state.last_crawled_at, u),
-        )
+        return state.last_crawled_at + wait
+
+    def _push_expected(self, u: UserId, state: CrawlState) -> None:
+        eligible_at = self._eligible_at(state)
+        if eligible_at is not None:
+            heapq.heappush(self._expected_heap, (eligible_at, state.last_crawled_at, u))
 
     def track_user(self, u: UserId, at: Timestamp) -> bool:
         if self.store.user_class(u) is not UserClass.UNKNOWN:
@@ -435,8 +439,14 @@ class Crawler:
                 return None
             expected = state.est_rate * ((now - key) / DAY)
             if expected < self.cfg.target_batch:
-                self._push_expected(u, state)  # estimate shrank meanwhile
-                continue
+                # The estimate shrank meanwhile, or the wait's truncation to
+                # whole seconds left the count a hair short at eligible_at. A
+                # re-push that would be due already is due now: pushing it
+                # back would pop it again at this same moment, forever.
+                eligible_at = self._eligible_at(state)
+                if eligible_at is None or eligible_at > now:
+                    self._push_expected(u, state)
+                    continue
             return u
         return None
 
@@ -622,6 +632,10 @@ class Crawler:
         if status == _BLOCKED:
             self._lookup_queue.extendleft(reversed(batch))
             return False
+        if status == _ERR:
+            # counted in the request log; the whole batch waits for a retry
+            self._lookup_queue.extendleft(reversed(batch))
+            return True
         for tid in batch:
             ref = self._pending[tid]
             result = results.get(tid, GONE)

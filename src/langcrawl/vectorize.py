@@ -19,7 +19,8 @@ import statistics
 import unicodedata
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
-from datetime import datetime, timedelta, timezone
+from datetime import date, timedelta
+from functools import cache
 from pathlib import Path
 from typing import Iterable, Mapping
 from urllib.parse import urlsplit
@@ -30,6 +31,7 @@ from .lexicons import (
     TARGET_SCRIPT_RANGES,
     Lexicons,
     count_in_ranges,
+    in_ranges,
     load_default,
 )
 from .model import CrawlState, Timestamp, Tweet, TweetId, UserClass, UserId, UserSnapshot
@@ -111,12 +113,23 @@ def levenshtein(a: str, b: str) -> int:
     return prev[-1]
 
 
-def _utc(ts: Timestamp) -> datetime:
-    return datetime.fromtimestamp(ts, tz=timezone.utc)
+# UTC calendar arithmetic on integer timestamps: a day index is ts // DAY,
+# and 1970-01-01, day 0, was a Thursday (weekday 3).
+_EPOCH = date(1970, 1, 1)
 
 
-def _day_key(ts: Timestamp) -> str:
-    return _utc(ts).date().isoformat()
+@cache
+def _day_iso(day: int) -> str:
+    """ISO date of a UTC day index."""
+    return (_EPOCH + timedelta(days=day)).isoformat()
+
+
+def _hour(ts: Timestamp) -> int:
+    return ts % DAY // 3600
+
+
+def _weekday(ts: Timestamp) -> int:
+    return (ts // DAY + 3) % 7
 
 
 # -- tokenizer -----------------------------------------------------------------
@@ -185,19 +198,32 @@ _PROFILE_FIELDS = (
 )
 
 
-def _char_classes(s: str, prefix: str) -> dict:
-    return {
-        prefix + "punctuation_chars": sum(1 for ch in s if _is_punct(ch)),
-        prefix + "digit_chars": sum(1 for ch in s if ch.isdigit()),
-        prefix + "alpha_chars": sum(1 for ch in s if ch.isalpha()),
-        prefix + "upper_chars": sum(1 for ch in s if ch.isupper()),
-        prefix + "lower_chars": sum(1 for ch in s if ch.islower()),
-        prefix + "greek_chars": count_in_ranges(s, TARGET_SCRIPT_RANGES),
-    }
+_CHAR_CLASSES = ("punctuation", "digit", "alpha", "upper", "lower", "greek", "emoji")
 
 
-def _is_punct(ch: str) -> bool:
-    return unicodedata.category(ch).startswith("P")
+@cache
+def _char_flags(ch: str) -> tuple[bool, ...]:
+    """Membership of one character in each of _CHAR_CLASSES."""
+    return (
+        unicodedata.category(ch).startswith("P"),
+        ch.isdigit(),
+        ch.isalpha(),
+        ch.isupper(),
+        ch.islower(),
+        in_ranges(ch, TARGET_SCRIPT_RANGES),
+        in_ranges(ch, EMOJI_RANGES),
+    )
+
+
+def _char_classes(chars: Counter) -> dict[str, int]:
+    """Characters per class of _CHAR_CLASSES, from per-character counts, so
+    each distinct character is classified once however often it occurs."""
+    totals = [0] * len(_CHAR_CLASSES)
+    for ch, n in chars.items():
+        for i, hit in enumerate(_char_flags(ch)):
+            if hit:
+                totals[i] += n
+    return dict(zip(_CHAR_CLASSES, totals))
 
 
 def profile_features(snapshot: UserSnapshot | None, klass: UserClass) -> dict:
@@ -266,7 +292,9 @@ def profile_features(snapshot: UserSnapshot | None, klass: UserClass) -> dict:
     out["bio_words"] = len(bio.split())
     out["bio_upper_words"] = sum(1 for w in bio.split() if w.isupper())
     out["bio_lower_words"] = sum(1 for w in bio.split() if w.islower())
-    out.update(_char_classes(bio, "bio_"))
+    for cls, n in _char_classes(Counter(bio)).items():
+        if cls != "emoji":
+            out[f"bio_{cls}_chars"] = n
     out["bio_total_chars"] = len(bio)
     return out
 
@@ -301,15 +329,15 @@ def activity_features(
     rt_gaps = gaps(rts)
     reply_gaps = gaps(replies)
 
-    per_day = Counter(_day_key(ts) for ts in times)
-    per_hour = Counter(_utc(ts).hour for ts in times)
-    per_weekday = Counter(_utc(ts).weekday() for ts in times)
+    per_day = Counter(ts // DAY for ts in times)
+    per_hour = Counter(_hour(ts) for ts in times)
+    per_weekday = Counter(_weekday(ts) for ts in times)
 
     # Largest intra-day gap, one value per day that had at least two tweets.
-    day_gaps: dict[str, int] = {}
+    day_gaps: dict[int, int] = {}
     for a, b in zip(tweets, tweets[1:]):
-        day = _day_key(b.created_at)
-        if _day_key(a.created_at) == day:
+        day = b.created_at // DAY
+        if a.created_at // DAY == day:
             g = b.created_at - a.created_at
             if g > day_gaps.get(day, -1):
                 day_gaps[day] = g
@@ -349,32 +377,36 @@ def activity_features(
     birth = created_at if created_at is not None else (times[0] if times else None)
     out["life_time"] = (times[-1] - birth) if times and birth is not None else None
 
-    def day_stats(counts: Counter) -> list | None:
-        if not counts:
+    def day_stats(idle: int = 0, first_idle: int = 0) -> list | None:
+        """five_stats over the active days plus `idle` days without a tweet,
+        then the quietest and the busiest day, the earliest on ties.
+
+        Every active day has at least one tweet, so the idle days sort first
+        and the earliest of them, first_idle, is the quietest."""
+        if not per_day and not idle:
             return None
-        stats = five_stats(sorted(counts.values()))
-        min_day = min(counts, key=lambda d: (counts[d], d))
-        max_day = min(counts, key=lambda d: (-counts[d], d))
-        return [*stats, min_day, max_day]
+        stats = five_stats([0] * idle + sorted(per_day.values()))
+        min_day = first_idle if idle else min(per_day, key=lambda d: (per_day[d], d))
+        max_day = min(per_day, key=lambda d: (-per_day[d], d)) if per_day else first_idle
+        return [*stats, _day_iso(min_day), _day_iso(max_day)]
 
-    out["tweets_per_active_day"] = day_stats(per_day)
+    out["tweets_per_active_day"] = day_stats()
 
-    # Every calendar day from account birth through as_of, zeros included.
+    # Every calendar day from account birth through as_of, zeros included;
+    # active days outside that span count as well.
     if birth is not None:
-        calendar = Counter()
-        d = _utc(birth).date()
-        stop = _utc(as_of).date()
-        while d <= stop:
-            calendar[d.isoformat()] = 0
-            d += timedelta(days=1)
-        calendar.update(per_day)
-        out["tweets_per_day"] = day_stats(calendar)
+        first, last = birth // DAY, as_of // DAY
+        idle = max(last - first + 1, 0) - sum(1 for d in per_day if first <= d <= last)
+        first_idle = first
+        while first_idle in per_day:
+            first_idle += 1
+        out["tweets_per_day"] = day_stats(idle, first_idle)
     else:
         out["tweets_per_day"] = None
 
     if times:
         cutoff = times[-1] - LAST_MONTH_SPAN
-        month_hours = Counter(_utc(ts).hour for ts in times if ts >= cutoff)
+        month_hours = Counter(_hour(ts) for ts in times if ts >= cutoff)
         out["last_month"] = {h: month_hours.get(h, 0) for h in range(24)}
     else:
         out["last_month"] = {h: 0 for h in range(24)}
@@ -559,8 +591,8 @@ def text_features(tweets: list[Tweet], lex: Lexicons, screen_name: str | None) -
     emoticon_hits = 0
     lexicon_hits = {"articles": 0, "pronouns": 0, "expletives": 0, "locations": 0}
     all_caps_tweets = 0
-    chars = Counter()  # char-class totals across authored text
-    emoji_chars = 0
+    total_chars = 0
+    char_counts: Counter = Counter()  # every character of authored text
     gender_hits = {"m": 0, "f": 0}
 
     for t in authored:
@@ -576,23 +608,19 @@ def text_features(tweets: list[Tweet], lex: Lexicons, screen_name: str | None) -
             bigram_counts[a + " " + b] += 1
             total_bigrams += 1
         all_caps_words += sum(1 for w in words if len(w) > 1 and w.isupper())
-        nocaps_words += sum(1 for w in words if not any(ch.isupper() for ch in w))
+        nocaps_words += sum(1 for w in words if not any(map(str.isupper, w)))
         for name in lexicon_hits:
             vocab = getattr(lex, name)
             lexicon_hits[name] += sum(1 for w in low if w in vocab)
         if t.text.isupper():
             all_caps_tweets += 1
-        chars["total"] += len(t.text)
-        chars["punct"] += sum(1 for ch in t.text if _is_punct(ch))
-        chars["digit"] += sum(1 for ch in t.text if ch.isdigit())
-        chars["alpha"] += sum(1 for ch in t.text if ch.isalpha())
-        chars["upper"] += sum(1 for ch in t.text if ch.isupper())
-        chars["lower"] += sum(1 for ch in t.text if ch.islower())
-        chars["greek"] += count_in_ranges(t.text, TARGET_SCRIPT_RANGES)
-        emoji_chars += count_in_ranges(t.text, EMOJI_RANGES)
+        total_chars += len(t.text)
+        char_counts.update(t.text)
         text_low = t.text.lower()
         for pattern, g in lex.gender_patterns:
             gender_hits[g] += text_low.count(pattern)
+
+    chars = _char_classes(char_counts)
 
     hashtags = Counter(h.lower() for t in authored for h in t.hashtags)
     rt_hashtags = Counter(h.lower() for t in rts for h in t.hashtags)
@@ -645,7 +673,7 @@ def text_features(tweets: list[Tweet], lex: Lexicons, screen_name: str | None) -
         "expletives": lexicon_hits["expletives"],
         "locations": lexicon_hits["locations"],
         "emoticons": emoticon_hits,
-        "emoji": emoji_chars,
+        "emoji": chars["emoji"],
         "alltokens": token_total,
         "all_caps_words": all_caps_words,
         "all_caps_words_pcnt": _pcnt(all_caps_words, total_words),
@@ -653,19 +681,19 @@ def text_features(tweets: list[Tweet], lex: Lexicons, screen_name: str | None) -
         "all_caps_tweets_pcnt": _pcnt(all_caps_tweets, seen),
         "all_nocaps_words": nocaps_words,
         "all_nocaps_words_pcnt": _pcnt(nocaps_words, total_words),
-        "punctuation_chars": chars["punct"],
-        "punctuation_pcnt": _pcnt(chars["punct"], chars["total"]),
-        "total_chars": chars["total"],
+        "punctuation_chars": chars["punctuation"],
+        "punctuation_pcnt": _pcnt(chars["punctuation"], total_chars),
+        "total_chars": total_chars,
         "digit_chars": chars["digit"],
-        "digit_pcnt": _pcnt(chars["digit"], chars["total"]),
+        "digit_pcnt": _pcnt(chars["digit"], total_chars),
         "alpha_chars": chars["alpha"],
-        "alpha_pcnt": _pcnt(chars["alpha"], chars["total"]),
+        "alpha_pcnt": _pcnt(chars["alpha"], total_chars),
         "upper_chars": chars["upper"],
-        "upper_pcnt": _pcnt(chars["upper"], chars["total"]),
+        "upper_pcnt": _pcnt(chars["upper"], total_chars),
         "lower_chars": chars["lower"],
-        "lower_pcnt": _pcnt(chars["lower"], chars["total"]),
+        "lower_pcnt": _pcnt(chars["lower"], total_chars),
         "greek_chars": chars["greek"],
-        "greek_pcnt": _pcnt(chars["greek"], chars["total"]),
+        "greek_pcnt": _pcnt(chars["greek"], total_chars),
         "total_hashtags": sum(len(t.hashtags) for t in authored),
         "hashtags_per_tw": five_stats([len(t.hashtags) for t in authored]),
         "uniq_hashtags": len(hashtags),
@@ -740,7 +768,7 @@ def sentiment_features(tweets: list[Tweet], lex: Lexicons) -> dict:
     for t in authored:
         pos, neg = tweet_sentiment(t.text, lex)
         scores[t.id] = (pos, neg)
-        day = _day_key(t.created_at)
+        day = _day_iso(t.created_at // DAY)
         if pos > 0:
             day_pos[day].append(pos)
         if neg > 0:

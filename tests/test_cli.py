@@ -1,6 +1,7 @@
 """End-to-end runs of every subcommand against temp directories."""
 
 import json
+import os
 
 import pytest
 
@@ -118,11 +119,20 @@ def test_classify_is_idempotent(crawled, capsys):
     store = str(tmp_path / "run")
     assert main(["classify", "--store", store]) == 0
     first = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    # backdate every store file, so that a rewrite shows in its mtime
+    files = sorted((tmp_path / "run" / "store").iterdir())
+    for f in files:
+        os.utime(f, ns=(1_000_000_000, 1_000_000_000))
+    before = [(f.name, f.read_bytes(), f.stat().st_mtime_ns) for f in files]
+    report = tmp_path / "run" / "classify_report.jsonl"
+    report.unlink()
     assert main(["classify", "--store", store]) == 0
     second = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
     assert second["transitions"] == 0
     assert first["transitions"] >= 0
-    assert (tmp_path / "run" / "classify_report.jsonl").exists()
+    assert report.exists()
+    files = sorted((tmp_path / "run" / "store").iterdir())
+    assert [(f.name, f.read_bytes(), f.stat().st_mtime_ns) for f in files] == before
 
 
 def test_mine_writes_edge_and_degree_files(crawled, capsys):

@@ -1,9 +1,11 @@
 """Scheduler behavior on controlled single-user worlds: timeline-walk request
 arithmetic, the favorites walk's stop rule, rate estimation, ref seeding."""
 
+from dataclasses import replace
+
 import pytest
 
-from langcrawl.apiface import DEFAULT_BUDGETS, Endpoint, RateLimiter
+from langcrawl.apiface import DEFAULT_BUDGETS, ApiError, Endpoint, RateLimiter
 from langcrawl.model import UserClass
 from langcrawl.sched import Crawler, SchedulerConfig, SimClock
 from langcrawl.simnet import DAY, World, WorldConfig
@@ -219,3 +221,71 @@ def test_identical_runs_identical_logs():
     log_b, tweets_b = run()
     assert log_a == log_b
     assert tweets_a == tweets_b
+
+
+def test_expected_queue_pops_user_due_at_truncated_wait():
+    # At 1000 * DAY / 63000 tweets a day the wait to target_batch is
+    # 63000.00000000001 s, truncated to 63000; at that moment the expected
+    # count is 999.9999999999999, a hair under target_batch. The user is
+    # due, and pushing them back would pop them again at the same moment.
+    w, uid, store, crawler = one_user_rig(target_batch=1000)
+    state = replace(
+        store.get_crawl_state(uid), last_crawled_at=w.now, est_rate=1000 * DAY / 63000
+    )
+    store.put_crawl_state(state)
+    assert state.est_rate * (63000 / DAY) < 1000
+    crawler._push_expected(uid, state)
+
+    pushes = 0
+    push = crawler._push_expected
+
+    def bounded_push(u, st):
+        nonlocal pushes
+        pushes += 1
+        assert pushes < 5, "expected queue re-pushed the same due user"
+        push(u, st)
+
+    crawler._push_expected = bounded_push
+    w.now += 62999
+    assert crawler._pop_tweet_user("expected") is None  # one second early
+    w.now += 1
+    assert crawler._pop_tweet_user("expected") == uid
+    assert pushes == 0
+
+
+class FailFirstLookup:
+    """A World whose first statuses_lookup raises a transient ApiError."""
+
+    def __init__(self, world):
+        self.world = world
+        self.failed: list | None = None
+
+    def __getattr__(self, name):
+        return getattr(self.world, name)
+
+    def statuses_lookup(self, ids):
+        if self.failed is None:
+            self.failed = list(ids)
+            raise ApiError("transient")
+        return self.world.statuses_lookup(ids)
+
+
+def test_lookup_error_requeues_batch():
+    w = World(
+        WorldConfig(
+            seed=5, n_users=80, community_fractions={"el": 0.6, "en": 0.4}, mixed_fraction=0.1
+        )
+    )
+    api = FailFirstLookup(w)
+    store = Store()
+    crawler = Crawler(api, store, RateLimiter(), SimClock(w), SchedulerConfig())
+    crawler.run(w.cfg.start_time + 3 * DAY)
+
+    assert api.failed, "no lookup was made"
+    lookups = [r for r in crawler.log if r["endpoint"] == "statuses_lookup"]
+    assert [r["outcome"] for r in lookups].count("api_error") == 1
+    assert lookups[0]["outcome"] == "api_error" and len(lookups) > 1
+    dropped = [
+        tid for tid in api.failed if store.get_tweet(tid) is None and tid not in crawler._pending
+    ]
+    assert not dropped

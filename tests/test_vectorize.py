@@ -2,16 +2,19 @@
 then spot-recomputed naively over a crawled store."""
 
 import json
+import unicodedata
 from collections import Counter
+from datetime import datetime, timezone
 
 import pytest
 from hypothesis import given, strategies as st
 
 from langcrawl.graphmine import extract_interactions
-from langcrawl.lexicons import Lexicons, load_default
+from langcrawl.lexicons import EMOJI_RANGES, TARGET_SCRIPT_RANGES, Lexicons, load_default
 from langcrawl.model import CrawlState, Tweet, UserClass, UserSnapshot
 from langcrawl.store import Store
 from langcrawl.vectorize import (
+    DAY,
     FEATURE_FIELDS,
     MissingLexicon,
     UnknownUser,
@@ -31,6 +34,10 @@ from langcrawl.vectorize import (
     tokenize,
     top_counts,
     tweet_sentiment,
+    _char_classes,
+    _day_iso,
+    _hour,
+    _weekday,
 )
 
 T0 = 1_470_000_000  # far from any day boundary pitfalls
@@ -87,6 +94,30 @@ def test_five_stats():
     mn, mx, mean, med, std = five_stats([2, 4, 6])
     assert (mn, mx, mean, med) == (2.0, 6.0, 4.0, 4.0)
     assert std == pytest.approx(1.632993161855452)
+
+
+@given(st.integers(-(2**35), 2**37))
+def test_utc_calendar_arithmetic_matches_datetime(ts):
+    utc = datetime.fromtimestamp(ts, tz=timezone.utc)
+    assert _day_iso(ts // DAY) == utc.date().isoformat()
+    assert _hour(ts) == utc.hour
+    assert _weekday(ts) == utc.weekday()
+
+
+@given(st.text(st.one_of(st.characters(), st.characters(min_codepoint=0x10000))))
+def test_char_classes_match_per_character_counts(text):
+    def n_in(ranges):
+        return sum(1 for ch in text if any(lo <= ord(ch) <= hi for lo, hi in ranges))
+
+    assert _char_classes(Counter(text)) == {
+        "punctuation": sum(1 for ch in text if unicodedata.category(ch).startswith("P")),
+        "digit": sum(1 for ch in text if ch.isdigit()),
+        "alpha": sum(1 for ch in text if ch.isalpha()),
+        "upper": sum(1 for ch in text if ch.isupper()),
+        "lower": sum(1 for ch in text if ch.islower()),
+        "greek": n_in(TARGET_SCRIPT_RANGES),
+        "emoji": n_in(EMOJI_RANGES),
+    }
 
 
 def test_top_counts_ties_break_on_key():
@@ -224,6 +255,17 @@ def test_activity_per_day_stats_cover_calendar_gaps():
     assert per_day[1] == 2.0
     active = out["tweets_per_active_day"]
     assert active[0] == 2.0 and active[1] == 2.0
+    # quietest: the first empty day after the busy birth day; busiest: birth
+    assert per_day[5:] == [utc_day(T0 + DAY), utc_day(T0)]
+
+    # a tweet older than the profile's created_at still counts on its day
+    tweets = [tw(1, at=0), tw(2, at=3 * DAY)]
+    out = activity_features(tweets, 0, created_at=T0 + DAY, as_of=T0 + 3 * DAY)
+    assert out["tweets_per_day"] == [0.0, 1.0, 0.5, 0.5, 0.5, utc_day(T0 + DAY), utc_day(T0)]
+
+
+def utc_day(ts):
+    return datetime.fromtimestamp(ts, tz=timezone.utc).date().isoformat()
 
 
 # -- interaction ---------------------------------------------------------------
@@ -337,10 +379,11 @@ def test_text_word_and_bigram_counts():
 
 
 def test_text_caps_stats():
-    tweets = [tw(1, text="ΓΕΙΑ ΣΑΣ"), tw(2, text="γεια")]
+    # "𝐀" is upper case, yet it is its own .lower()
+    tweets = [tw(1, text="ΓΕΙΑ ΣΑΣ"), tw(2, text="γεια"), tw(3, text="𝐀")]
     out = text_features(tweets, LEX, None)
-    assert out["all_caps_tweets"] == 1
-    assert out["all_caps_tweets_pcnt"] == pytest.approx(50.0)
+    assert out["all_caps_tweets"] == 2
+    assert out["all_caps_tweets_pcnt"] == pytest.approx(200 / 3)
     assert out["all_caps_words"] == 2
     assert out["all_nocaps_words"] == 1
     assert out["greek_chars"] == 11
