@@ -27,6 +27,7 @@ from .model import (
 )
 
 WINDOW = 900  # seconds; fixed by the platform, not configurable
+TIMELINE_DEPTH = 3200  # most recent tweets a timeline serves; fixed by the platform
 
 
 class Endpoint(enum.Enum):
@@ -152,14 +153,6 @@ class RateLimiter:
                 self._used[e] = (index, used + 1)
                 return GRANTED
             return RetryAfter(duration=(index + 1) * budget.window - now)
-
-    def remaining(self, e: Endpoint, now: Timestamp) -> int:
-        budget = self.budgets[e]
-        index = now // budget.window
-        window, used = self._used.get(e, (index, 0))
-        if window != index:
-            used = 0
-        return budget.max_requests - used
 
 
 class Gone:

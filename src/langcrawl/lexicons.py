@@ -16,7 +16,6 @@ import re
 from dataclasses import dataclass, field
 from functools import cache
 from importlib import resources
-from pathlib import Path
 
 # Greek and Greek-extended blocks.
 TARGET_SCRIPT_RANGES: tuple[tuple[int, int], ...] = ((0x0370, 0x03FF), (0x1F00, 0x1FFF))
@@ -116,11 +115,6 @@ def _build(read: "callable") -> Lexicons:
         entities=_parse_entities(read("entities.tsv")),
         **sets,
     )
-
-
-def load_dir(directory: str | Path) -> Lexicons:
-    directory = Path(directory)
-    return _build(lambda name: (directory / name).read_text(encoding="utf-8"))
 
 
 def load_default() -> Lexicons:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, fields
-from typing import Any, Iterator
+from typing import Any
 
 UserId = int
 TweetId = int
@@ -51,12 +51,6 @@ class UserClass(enum.Enum):
     SUSPENDED = "suspended"
     DEAD = "dead"
     PROTECTED = "protected"
-
-
-# Classes that must never be (re-)seeded into the tracked set.
-UNSEEDABLE = frozenset(
-    {UserClass.STOPPED, UserClass.DEAD, UserClass.SUSPENDED, UserClass.PROTECTED}
-)
 
 
 @dataclass(frozen=True, slots=True)
@@ -294,8 +288,3 @@ def from_record(cls: type, rec: dict) -> Any:
             v = UserClass(v)
         kwargs[f.name] = v
     return cls(**kwargs)
-
-
-def iter_field_names(cls: type) -> Iterator[str]:
-    for f in fields(cls):
-        yield f.name

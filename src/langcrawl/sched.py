@@ -6,27 +6,46 @@ batches), the other by staleness. Around them: referenced-tweet lookup,
 follow enumeration in both directions, favorites, lists, profile refresh,
 trend polling, stream seeding, and the daily classification tick.
 
+Each per-user loop draws its users from a RevisitQueue: a user is due a
+fixed window after its last scan (the expected-tweets queue instead names the
+moment ~1000 new tweets will have accrued).
+
+One error policy covers every per-user request: a failed request applies the
+class transition its error implies (dead, suspended, protected), and its user
+goes back into the queue it came from, scan stamp unchanged, due when the
+next 900-second budget window opens. A user that keeps failing costs a loop
+at most one request per window and never holds up the users behind it. A
+failed list-members page sends its list back the same way. Only the
+roundrobin planner, kept as a baseline, still drops a user whose timeline
+request failed from its cycle.
+
 Everything runs single-threaded against a virtual clock; one orchestrator
 pass gives every loop at most one API request. Walks keep their own cursor
-state so a rate-limit block suspends them mid-flight and a crash loses at
-most the in-flight page.
+state, so a rate-limit block suspends them mid-flight. Queues, walks and
+pending lookups live in memory only; a new Crawler rebuilds its queues from
+the store's crawl states.
 """
 from __future__ import annotations
 
 import heapq
 import json
 from collections import deque
-from dataclasses import dataclass, replace
-from typing import Callable, Iterable, Protocol
+from dataclasses import dataclass, field, replace
+from functools import partial
+from typing import Callable, Protocol
 
 from . import classify as cls
 from . import lexicons as lex
 from .apiface import (
+    TIMELINE_DEPTH,
+    WINDOW,
     ApiError,
     DataSource,
     Endpoint,
     GONE,
+    ListNotFound,
     LookupHit,
+    PlaceUnknown,
     RateLimiter,
     RetryAfter,
     UserNotFound,
@@ -37,6 +56,9 @@ from .model import (
     CrawlState,
     FollowEdge,
     FollowScan,
+    ListId,
+    ListMembership,
+    ListSubscription,
     Timestamp,
     Tweet,
     TweetId,
@@ -57,10 +79,7 @@ class SchedulerConfig:
     profile_refresh_window: int = 14 * DAY
     favorites_known_stop: int = 191  # strictly more than 190 known likes
     target_batch: int = 1000  # expected-tweets queue visits at ~this accrual
-    timeline_page: int = 200
-    timeline_cap: int = 3200
     trends_period: int = 900
-    lookup_batch: int = 100
     # pacing knobs with no externally pinned value; defaults keep a small
     # crawl healthy without starving any loop
     min_staleness: int = DAY
@@ -102,13 +121,6 @@ class SchedulerConfig:
         return cls_(**raw)
 
 
-@dataclass(frozen=True)
-class CrawlPlanEntry:
-    user: UserId
-    expected_new: float
-    staleness: int
-
-
 def estimate_rate(
     state: CrawlState,
     snapshot,
@@ -125,21 +137,6 @@ def estimate_rate(
         age = max(now - snapshot.created_at, 1) / DAY
         return snapshot.tweet_count / age
     return 0.0
-
-
-def plan_tweet_crawl(
-    states: Iterable[CrawlState], now: Timestamp, k: int
-) -> tuple[list[CrawlPlanEntry], list[CrawlPlanEntry]]:
-    """Top-k users by expected new tweets and top-k by staleness."""
-    entries = []
-    for s in states:
-        staleness = now - (s.last_crawled_at or 0)
-        entries.append(
-            CrawlPlanEntry(s.user, s.est_rate * (staleness / DAY), staleness)
-        )
-    by_expected = sorted(entries, key=lambda e: (-e.expected_new, e.user))[:k]
-    by_staleness = sorted(entries, key=lambda e: (-e.staleness, e.user))[:k]
-    return by_expected, by_staleness
 
 
 class Clock(Protocol):
@@ -166,17 +163,63 @@ _BLOCKED = "blocked"
 _OK = "ok"
 _ERR = "error"
 
-_ERROR_OUTCOMES = {
-    UserNotFound: "not_found",
-    UserSuspended: "suspended",
-    UserProtected: "protected",
+# error -> (request log outcome, class the user moves to)
+_USER_ERRORS = {
+    UserNotFound: ("not_found", UserClass.DEAD),
+    UserSuspended: ("suspended", UserClass.SUSPENDED),
+    UserProtected: ("protected", UserClass.PROTECTED),
 }
 
-_ERROR_CLASSES = {
-    UserNotFound: UserClass.DEAD,
-    UserSuspended: UserClass.SUSPENDED,
-    UserProtected: UserClass.PROTECTED,
-}
+
+def _next_window(t: Timestamp) -> Timestamp:
+    return (t // WINDOW + 1) * WINDOW
+
+
+class RevisitQueue:
+    """Users due for a revisit, soonest first.
+
+    Entries are (due, key, user). `key` is the user's scan stamp when the
+    entry was pushed, -1 before the first scan, and `due` is key + window (-1
+    for a user never scanned) unless the caller names another moment. An
+    entry whose key no longer matches key_of(user) was superseded by a later
+    scan, and it is dropped once it reaches the front, as is a user for whom
+    live(user) has turned false.
+    """
+
+    def __init__(
+        self,
+        key_of: Callable[[UserId], Timestamp],
+        live: Callable[[UserId], bool],
+        window: int = 0,
+    ) -> None:
+        self.key_of = key_of
+        self.live = live
+        self.window = window
+        self._heap: list[tuple[Timestamp, Timestamp, UserId]] = []
+
+    def push(self, u: UserId, due: Timestamp | None = None) -> None:
+        key = self.key_of(u)
+        if due is None:
+            due = key + self.window if key >= 0 else -1
+        heapq.heappush(self._heap, (due, key, u))
+
+    def peek(self, now: Timestamp) -> UserId | None:
+        """The front user if it is due at `now`, without removing it."""
+        heap = self._heap
+        while heap:
+            due, key, u = heap[0]
+            if self.key_of(u) != key or not self.live(u):
+                heapq.heappop(heap)
+                continue
+            return u if due <= now else None
+        return None
+
+    def pop(self, now: Timestamp) -> UserId | None:
+        """Remove and return the front user if it is due at `now`."""
+        u = self.peek(now)
+        if u is not None:
+            heapq.heappop(self._heap)
+        return u
 
 
 @dataclass
@@ -197,9 +240,11 @@ class _TimelineWalk:
     uncovered history inflates it), so arming never terminates early.
     """
 
-    def __init__(self, user: UserId, queue: str, state: CrawlState, now: Timestamp):
+    def __init__(
+        self, user: UserId, queue: RevisitQueue | None, state: CrawlState, now: Timestamp
+    ):
         self.user = user
-        self.queue = queue
+        self.queue = queue  # where a failed visit sends its user; None in drain
         self.pre = state
         self.started_at = now
         self.since = state.last_seen_tweet
@@ -216,20 +261,34 @@ class _TimelineWalk:
         return self.last_page_full and self.delta is None
 
 
-class _FollowWalk:
-    def __init__(self, user: UserId, direction: str):
-        self.user = user
-        self.direction = direction  # "friends" | "followers"
-        self.phase = "ids"  # then "list"
-        self.cursor = None
-        self.ids: list[UserId] = []
+@dataclass
+class _ScanWalk:
+    """One visit of a scan loop: the endpoint being paged, its cursor (a
+    follow cursor or the favorites max_id), and what the commit needs."""
+
+    user: UserId
+    phase: int = 0
+    cursor: int | None = None
+    ids: list[UserId] = field(default_factory=list)  # follow: every id page
+    known: int = 0  # favorites: likes already stored
 
 
-class _FavoritesWalk:
-    def __init__(self, user: UserId):
-        self.user = user
-        self.max_id: TweetId | None = None
-        self.known = 0
+@dataclass
+class _ScanLoop:
+    """A per-user loop that revisits every crawlable user a window after its
+    last scan. A visit requests `endpoints` in turn, each through `fetch`
+    until `take` has stored a page and returns no further cursor; `commit`
+    then stamps the scan and the user is queued again. A paged visit holds
+    its user from its start through rate-limit blocks; a one-request visit
+    leaves its user queued until the request is granted."""
+
+    endpoints: tuple[Endpoint, ...]
+    queue: RevisitQueue
+    fetch: Callable[[Endpoint, _ScanWalk], object]
+    take: Callable[[_ScanWalk, object], int | None]
+    commit: Callable[[_ScanWalk], None]
+    paged: bool = True
+    walk: _ScanWalk | None = None
 
 
 class Crawler:
@@ -257,12 +316,13 @@ class Crawler:
         )
         self.keywords = tuple(self.cfg.keywords) or tuple(sorted(self.lexicons.stopwords))
         self.log: list[dict] = []
+        cfg = self.cfg
 
         # tweet crawl queues
         self._walks: dict[str, _TimelineWalk | None] = {"expected": None, "stale": None}
         self._walking: set[UserId] = set()
-        self._stale_heap: list[tuple[int, UserId]] = []
-        self._expected_heap: list[tuple[int, int, UserId]] = []
+        self._stale = self._state_queue("last_crawled_at", cfg.min_staleness)
+        self._expected = self._state_queue("last_crawled_at", 0)
         self._rr_queue: deque[UserId] = deque()
 
         # lookups
@@ -271,29 +331,53 @@ class Crawler:
         self._gone_retry: list[tuple[Timestamp, TweetId]] = []
         self._evidence: dict[UserId, set[TweetId]] = {}
 
-        # follow / favorites / lists / profiles
-        self._follow_heap = {"friends": [], "followers": []}
-        self._follow_walk: dict[str, _FollowWalk | None] = {
-            "friends": None,
-            "followers": None,
-        }
-        self._fav_heap: list[tuple[int, UserId]] = []
-        self._fav_walk: _FavoritesWalk | None = None
+        # per-user scan loops: endpoints, queue, fetch, take a page, commit
+        def by_cursor(e: Endpoint, walk: _ScanWalk):
+            return getattr(self.api, e.value)(walk.user, cursor=walk.cursor)
+
+        def once(e: Endpoint, walk: _ScanWalk):
+            return getattr(self.api, e.value)(walk.user)
+
+        def likes(e: Endpoint, walk: _ScanWalk):
+            return self.api.favorites_list(walk.user, max_id=walk.cursor, count=self._page(e))
+
+        self._scans: dict[str, _ScanLoop] = {}
+        for kind in ("friends", "followers"):
+            self._scans[kind] = _ScanLoop(
+                (Endpoint(f"{kind}_ids"), Endpoint(f"{kind}_list")),
+                self._state_queue(f"{kind}_scanned_at", cfg.follow_recrawl_window),
+                by_cursor, self._take_follow, partial(self._commit_follow, kind),
+            )
+        self._scans["favorites"] = _ScanLoop(
+            (Endpoint.FAVORITES_LIST,),
+            self._state_queue("favorites_scanned_at", cfg.favorites_recrawl_window),
+            likes, self._take_favorites, partial(self._stamp, "favorites_scanned_at"),
+        )
         self._list_scan_at: dict[str, dict[UserId, Timestamp]] = {
-            "memberships": {},
-            "ownerships": {},
-            "subscriptions": {},
+            k: {} for k in ("memberships", "ownerships", "subscriptions")
         }
-        self._list_user_heap: dict[str, list[tuple[int, UserId]]] = {
-            "memberships": [],
-            "ownerships": [],
-            "subscriptions": [],
-        }
-        self._member_queue: deque[int] = deque()
+        for kind, scan_at in self._list_scan_at.items():
+            queue = RevisitQueue(
+                lambda u, scan_at=scan_at: scan_at.get(u, -1),
+                self._crawlable,
+                cfg.lists_recrawl_window,
+            )
+            self._scans[kind] = _ScanLoop(
+                (Endpoint(f"lists_{kind}"),), queue, once,
+                partial(self._take_lists, kind), partial(self._commit_lists, scan_at),
+                paged=False,
+            )
+        self._scans["profiles"] = _ScanLoop(
+            (Endpoint.USERS_SHOW,),
+            self._state_queue("profile_fetched_at", cfg.profile_refresh_window),
+            once, self._take_profile, partial(self._stamp, "profile_fetched_at"),
+            paged=False,
+        )
+        self._member_queue: deque[ListId] = deque()
         self._member_cursor = None
-        self._member_scanned: dict[int, Timestamp] = {}
+        self._member_scanned: dict[ListId, Timestamp] = {}
+        self._member_retry: deque[tuple[Timestamp, ListId]] = deque()
         self._list_phase = 0
-        self._profile_heap: list[tuple[int, UserId]] = []
 
         self._last_trend: dict[str, Timestamp] = {}
         self._last_stream: Timestamp | None = None
@@ -302,28 +386,20 @@ class Crawler:
         for u in self.store.users_in_class(*CRAWLABLE):
             self._enqueue_user(u)
 
-        self._steps: list[Callable[[], bool]] = []
-        enabled = set(self.cfg.loops)
-        if "tweets" in enabled:
-            self._steps.append(lambda: self._step_tweets("expected"))
-            self._steps.append(lambda: self._step_tweets("stale"))
-        if "lookup" in enabled:
-            self._steps.append(self._step_lookup)
-        if "follow" in enabled:
-            self._steps.append(lambda: self._step_follow("friends"))
-            self._steps.append(lambda: self._step_follow("followers"))
-        if "favorites" in enabled:
-            self._steps.append(self._step_favorites)
-        if "lists" in enabled:
-            self._steps.append(self._step_lists)
-        if "profiles" in enabled:
-            self._steps.append(self._step_profiles)
-        if "trends" in enabled:
-            self._steps.append(self._step_trends)
-        if "stream" in enabled:
-            self._steps.append(self._step_stream)
-        if "classify" in enabled:
-            self._steps.append(self._step_classify)
+        steps = (
+            ("tweets", partial(self._step_tweets, "expected")),
+            ("tweets", partial(self._step_tweets, "stale")),
+            ("lookup", self._step_lookup),
+            ("follow", partial(self._step_scan, "friends")),
+            ("follow", partial(self._step_scan, "followers")),
+            ("favorites", partial(self._step_scan, "favorites")),
+            ("lists", self._step_lists),
+            ("profiles", partial(self._step_scan, "profiles")),
+            ("trends", self._step_trends),
+            ("stream", self._step_stream),
+            ("classify", self._step_classify),
+        )
+        self._steps = [step for loop, step in steps if loop in cfg.loops]
 
     # -- plumbing ---------------------------------------------------------------
 
@@ -343,37 +419,44 @@ class Crawler:
         try:
             value = call()
         except ApiError as exc:
-            self._log_request(
-                endpoint, target, _ERROR_OUTCOMES.get(type(exc), "api_error")
-            )
+            outcome, _ = _USER_ERRORS.get(type(exc), ("api_error", None))
+            self._log_request(endpoint, target, outcome)
             return _ERR, exc
         self._log_request(endpoint, target, _OK)
         return _OK, value
 
-    def _transition_on_error(self, u: UserId, exc: ApiError) -> None:
-        new = _ERROR_CLASSES.get(type(exc))
+    def _page(self, endpoint: Endpoint) -> int:
+        return self.limiter.budgets[endpoint].page_size
+
+    def _on_error(self, u: UserId, exc: ApiError, queue: RevisitQueue | None) -> None:
+        """The error policy of every per-user request: apply the class
+        transition the error implies, then put u back in the queue it came
+        from, scan stamp unchanged, due when the next budget window opens."""
+        now = self.clock.now()
+        _, new = _USER_ERRORS.get(type(exc), (None, None))
         if new is not None:
-            self.store.set_class(u, new, self.clock.now())
+            self.store.set_class(u, new, now)
+        if queue is not None:
+            queue.push(u, due=_next_window(now))
 
     def _crawlable(self, u: UserId) -> bool:
         return self.store.user_class(u) in CRAWLABLE
 
+    def _state_queue(self, stamp: str, window: int) -> RevisitQueue:
+        """A queue keyed on one CrawlState scan stamp."""
+        return RevisitQueue(
+            lambda u: getattr(self.store.get_crawl_state(u), stamp) or -1,
+            self._crawlable,
+            window,
+        )
+
     def _enqueue_user(self, u: UserId) -> None:
         """Make a newly tracked user visible to every per-user loop."""
-        state = self.store.get_crawl_state(u)
-        heapq.heappush(self._stale_heap, (state.last_crawled_at or -1, u))
-        self._push_expected(u, state)
+        self._stale.push(u)
+        self._push_expected(u, self.store.get_crawl_state(u))
         self._rr_queue.append(u)
-        for direction in ("friends", "followers"):
-            at = getattr(state, f"{direction}_scanned_at")
-            heapq.heappush(self._follow_heap[direction], (at or -1, u))
-        heapq.heappush(self._fav_heap, (state.favorites_scanned_at or -1, u))
-        for endpoint in self._list_user_heap:
-            heapq.heappush(
-                self._list_user_heap[endpoint],
-                (self._list_scan_at[endpoint].get(u, -1), u),
-            )
-        heapq.heappush(self._profile_heap, (state.profile_fetched_at or -1, u))
+        for loop in self._scans.values():
+            loop.queue.push(u)
 
     def _eligible_at(self, state: CrawlState) -> Timestamp | None:
         """When target_batch tweets are expected to have accrued since the
@@ -388,7 +471,7 @@ class Crawler:
     def _push_expected(self, u: UserId, state: CrawlState) -> None:
         eligible_at = self._eligible_at(state)
         if eligible_at is not None:
-            heapq.heappush(self._expected_heap, (eligible_at, state.last_crawled_at, u))
+            self._expected.push(u, due=eligible_at)
 
     def track_user(self, u: UserId, at: Timestamp) -> bool:
         if self.store.user_class(u) is not UserClass.UNKNOWN:
@@ -412,32 +495,16 @@ class Crawler:
                 return u
             return None
         if queue == "stale":
-            while self._stale_heap:
-                key, u = self._stale_heap[0]
-                state = self.store.get_crawl_state(u)
-                if (state.last_crawled_at or -1) != key or not self._crawlable(u):
-                    heapq.heappop(self._stale_heap)  # superseded entry
-                    continue
-                if u in self._walking:
-                    return None  # front is busy; keep order, wait
-                if key >= 0 and now - key < self.cfg.min_staleness:
-                    return None  # nothing stale enough yet
-                heapq.heappop(self._stale_heap)
-                return u
-            return None
-        while self._expected_heap:
-            eligible_at, key, u = self._expected_heap[0]
+            u = self._stale.peek(now)
+            if u is None or u in self._walking:
+                return None  # nothing stale enough yet, or the front is busy: wait
+            return self._stale.pop(now)
+        while (u := self._expected.pop(now)) is not None:
             state = self.store.get_crawl_state(u)
-            if (state.last_crawled_at or -1) != key or not self._crawlable(u):
-                heapq.heappop(self._expected_heap)
-                continue
-            if eligible_at > now:
-                return None
-            heapq.heappop(self._expected_heap)
             if u in self._walking:
                 self._push_expected(u, state)
                 return None
-            expected = state.est_rate * ((now - key) / DAY)
+            expected = state.est_rate * ((now - state.last_crawled_at) / DAY)
             if expected < self.cfg.target_batch:
                 # The estimate shrank meanwhile, or the wait's truncation to
                 # whole seconds left the count a hair short at eligible_at. A
@@ -456,7 +523,8 @@ class Crawler:
             u = self._pop_tweet_user(queue)
             if u is None:
                 return False
-            walk = _TimelineWalk(u, queue, self.store.get_crawl_state(u), self.clock.now())
+            source = self._stale if queue == "stale" else self._expected
+            walk = _TimelineWalk(u, source, self.store.get_crawl_state(u), self.clock.now())
             self._walks[queue] = walk
             self._walking.add(u)
         status = self._walk_step(walk)
@@ -468,7 +536,6 @@ class Crawler:
         return True
 
     def _walk_step(self, walk: _TimelineWalk) -> str:
-        cfg = self.cfg
         if walk.needs_arming():
             snap = self.store.latest_snapshot(walk.user)
             if snap is None or snap.observed_at < walk.started_at:
@@ -478,8 +545,9 @@ class Crawler:
                 if status == _BLOCKED:
                     return _BLOCKED
                 if status == _ERR:
-                    self._transition_on_error(walk.user, result)
-                    return "done"  # state deliberately untouched: no progress lost
+                    # state deliberately untouched: no progress lost
+                    self._on_error(walk.user, result, walk.queue)
+                    return "done"
                 self.store.put_snapshot(result)
                 walk.fetched_profile = True
                 snap = result
@@ -496,17 +564,18 @@ class Crawler:
             if walk.fetched_profile:
                 return "progress"
 
+        page_size = self._page(Endpoint.USER_TIMELINE)
         status, page = self._request(
             Endpoint.USER_TIMELINE,
             walk.user,
             lambda: self.api.user_timeline(
-                walk.user, since=walk.since, max_id=walk.max_id, count=cfg.timeline_page
+                walk.user, since=walk.since, max_id=walk.max_id, count=page_size
             ),
         )
         if status == _BLOCKED:
             return _BLOCKED
         if status == _ERR:
-            self._transition_on_error(walk.user, page)
+            self._on_error(walk.user, page, walk.queue)
             return "done"
 
         for t in page:
@@ -519,12 +588,12 @@ class Crawler:
             page_max = page[0].id
             walk.min_seen = page_min if walk.min_seen is None else min(walk.min_seen, page_min)
             walk.max_seen = page_max if walk.max_seen is None else max(walk.max_seen, page_max)
-        walk.last_page_full = len(page) == cfg.timeline_page
+        walk.last_page_full = len(page) == page_size
 
         if (
             not walk.last_page_full
             or (walk.delta is not None and walk.seen >= walk.delta)
-            or walk.seen >= cfg.timeline_cap
+            or walk.seen >= TIMELINE_DEPTH
         ):
             self._finish_walk(walk)
             return "done"
@@ -539,7 +608,7 @@ class Crawler:
         if walk.min_seen is not None:
             first = walk.min_seen if first is None else min(first, walk.min_seen)
             last = walk.max_seen if last is None else max(last, walk.max_seen)
-        cap_hit = walk.seen >= self.cfg.timeline_cap and (
+        cap_hit = walk.seen >= TIMELINE_DEPTH and (
             walk.delta is None or walk.delta > walk.seen
         )
         prev_crawl = state.last_crawled_at
@@ -564,7 +633,7 @@ class Crawler:
             est_rate=est,
         )
         self.store.put_crawl_state(state)
-        heapq.heappush(self._stale_heap, (now, walk.user))
+        self._stale.push(walk.user)
         self._push_expected(walk.user, state)
         if self.cfg.planner == "roundrobin":
             self._rr_queue.append(walk.user)
@@ -608,8 +677,9 @@ class Crawler:
                 self._lookup_queue.append(tid)
         if not self._lookup_queue:
             return False
+        batch_size = self._page(Endpoint.STATUSES_LOOKUP)
         batch: list[TweetId] = []
-        while self._lookup_queue and len(batch) < self.cfg.lookup_batch:
+        while self._lookup_queue and len(batch) < batch_size:
             tid = self._lookup_queue.popleft()
             ref = self._pending.get(tid)
             if ref is None or tid in batch:
@@ -656,117 +726,60 @@ class Crawler:
                 del self._pending[tid]  # second failure is final
         return True
 
-    # -- follow crawl ------------------------------------------------------------------
+    # -- per-user scan loops: follow, favorites, lists, profiles -------------------------
 
-    def _pop_scan_user(self, heap: list, field: str, window: int) -> UserId | None:
+    def _step_scan(self, name: str) -> bool:
+        loop = self._scans[name]
         now = self.clock.now()
-        while heap:
-            key, u = heap[0]
-            state = self.store.get_crawl_state(u)
-            current = getattr(state, field) if field else None
-            if field and (current or -1) != key or not self._crawlable(u):
-                heapq.heappop(heap)
-                continue
-            if key >= 0 and now - key < window:
-                return None
-            heapq.heappop(heap)
-            return u
-        return None
-
-    def _step_follow(self, direction: str) -> bool:
-        walk = self._follow_walk[direction]
+        walk = loop.walk
         if walk is None:
-            u = self._pop_scan_user(
-                self._follow_heap[direction],
-                f"{direction}_scanned_at",
-                self.cfg.follow_recrawl_window,
-            )
+            u = loop.queue.pop(now) if loop.paged else loop.queue.peek(now)
             if u is None:
                 return False
-            walk = _FollowWalk(u, direction)
-            self._follow_walk[direction] = walk
-
-        if walk.phase == "ids":
-            endpoint = (
-                Endpoint.FRIENDS_IDS if direction == "friends" else Endpoint.FOLLOWERS_IDS
-            )
-            call = (
-                self.api.friends_ids if direction == "friends" else self.api.followers_ids
-            )
-            status, result = self._request(
-                endpoint, walk.user, lambda: call(walk.user, cursor=walk.cursor)
-            )
-            if status == _BLOCKED:
-                return False
-            if status == _ERR:
-                self._transition_on_error(walk.user, result)
-                self._follow_walk[direction] = None
-                return True
-            ids, nxt = result
-            walk.ids.extend(ids)
-            walk.cursor = nxt
-            if nxt is None:
-                walk.phase = "list"
-            return True
-
-        endpoint = (
-            Endpoint.FRIENDS_LIST if direction == "friends" else Endpoint.FOLLOWERS_LIST
-        )
-        call = self.api.friends_list if direction == "friends" else self.api.followers_list
-        status, result = self._request(
-            endpoint, walk.user, lambda: call(walk.user, cursor=walk.cursor)
-        )
+            walk = _ScanWalk(u)
+            if loop.paged:
+                loop.walk = walk
+        endpoint = loop.endpoints[walk.phase]
+        status, result = self._request(endpoint, walk.user, lambda: loop.fetch(endpoint, walk))
         if status == _BLOCKED:
             return False
+        if not loop.paged:
+            loop.queue.pop(now)
         if status == _ERR:
-            self._transition_on_error(walk.user, result)
-            self._follow_walk[direction] = None
+            loop.walk = None
+            self._on_error(walk.user, result, loop.queue)
             return True
-        snapshots, nxt = result
-        for s in snapshots:
-            self.store.put_snapshot(s)
-        walk.cursor = nxt
-        if nxt is None:
-            self._finish_follow(walk)
-            self._follow_walk[direction] = None
+        walk.cursor = loop.take(walk, result)
+        if walk.cursor is None:
+            walk.phase += 1
+            if walk.phase == len(loop.endpoints):
+                loop.walk = None
+                loop.commit(walk)
+                loop.queue.push(walk.user)
         return True
 
-    def _finish_follow(self, walk: _FollowWalk) -> None:
+    def _stamp(self, stamp: str, walk: _ScanWalk) -> None:
+        state = self.store.get_crawl_state(walk.user)
+        self.store.put_crawl_state(replace(state, **{stamp: self.clock.now()}))
+
+    def _take_follow(self, walk: _ScanWalk, result) -> int | None:
+        items, nxt = result
+        if walk.phase == 0:
+            walk.ids.extend(items)
+        else:
+            for s in items:
+                self.store.put_snapshot(s)
+        return nxt
+
+    def _commit_follow(self, kind: str, walk: _ScanWalk) -> None:
         now = self.clock.now()
         for v in walk.ids:
-            src, dst = (walk.user, v) if walk.direction == "friends" else (v, walk.user)
+            src, dst = (walk.user, v) if kind == "friends" else (v, walk.user)
             self.store.append_follow(FollowEdge(src=src, dst=dst, observed_at=now))
-        self.store.record_follow_scan(
-            FollowScan(kind=walk.direction, subject=walk.user, at=now)
-        )
-        state = self.store.get_crawl_state(walk.user)
-        state = replace(state, **{f"{walk.direction}_scanned_at": now})
-        self.store.put_crawl_state(state)
-        heapq.heappush(self._follow_heap[walk.direction], (now, walk.user))
+        self.store.record_follow_scan(FollowScan(kind=kind, subject=walk.user, at=now))
+        self._stamp(f"{kind}_scanned_at", walk)
 
-    # -- favorites --------------------------------------------------------------------
-
-    def _step_favorites(self) -> bool:
-        walk = self._fav_walk
-        if walk is None:
-            u = self._pop_scan_user(
-                self._fav_heap, "favorites_scanned_at", self.cfg.favorites_recrawl_window
-            )
-            if u is None:
-                return False
-            walk = _FavoritesWalk(u)
-            self._fav_walk = walk
-        status, page = self._request(
-            Endpoint.FAVORITES_LIST,
-            walk.user,
-            lambda: self.api.favorites_list(walk.user, max_id=walk.max_id, count=200),
-        )
-        if status == _BLOCKED:
-            return False
-        if status == _ERR:
-            self._transition_on_error(walk.user, page)
-            self._fav_walk = None
-            return True
+    def _take_favorites(self, walk: _ScanWalk, page) -> int | None:
         for rec in page:
             if self.store.has_favorite(rec.user, rec.tweet):
                 walk.known += 1
@@ -774,17 +787,34 @@ class Crawler:
                 self.store.put_favorite(rec)
         # keep descending past known likes: older new ones may hide below,
         # until enough known history proves the rest was covered before
-        if len(page) < 200 or walk.known >= self.cfg.favorites_known_stop:
-            now = self.clock.now()
-            state = self.store.get_crawl_state(walk.user)
-            self.store.put_crawl_state(replace(state, favorites_scanned_at=now))
-            heapq.heappush(self._fav_heap, (now, walk.user))
-            self._fav_walk = None
-        else:
-            walk.max_id = min(r.tweet for r in page) - 1
-        return True
+        if (
+            len(page) < self._page(Endpoint.FAVORITES_LIST)
+            or walk.known >= self.cfg.favorites_known_stop
+        ):
+            return None
+        return min(r.tweet for r in page) - 1
 
-    # -- lists ---------------------------------------------------------------------------
+    def _take_lists(self, kind: str, walk: _ScanWalk, records) -> None:
+        now = self.clock.now()
+        for record in records:
+            self.store.put_list(record)
+            if kind == "memberships":
+                self.store.put_membership(
+                    ListMembership(list_id=record.id, member=walk.user, observed_at=now)
+                )
+            elif kind == "subscriptions":
+                self.store.put_subscription(
+                    ListSubscription(list_id=record.id, subscriber=walk.user, observed_at=now)
+                )
+            if record.id not in self._member_scanned:
+                self._member_scanned[record.id] = -1
+                self._member_queue.append(record.id)
+
+    def _commit_lists(self, scan_at: dict[UserId, Timestamp], walk: _ScanWalk) -> None:
+        scan_at[walk.user] = self.clock.now()
+
+    def _take_profile(self, walk: _ScanWalk, snap) -> None:
+        self.store.put_snapshot(snap)
 
     def _step_lists(self) -> bool:
         for _ in range(4):
@@ -795,67 +825,14 @@ class Crawler:
             if phase == "members":
                 if self._step_list_members():
                     return True
-            elif self._step_list_users(phase):
+            elif self._step_scan(phase):
                 return True
         return False
 
-    def _step_list_users(self, endpoint_name: str) -> bool:
-        heap = self._list_user_heap[endpoint_name]
-        scan_at = self._list_scan_at[endpoint_name]
-        now = self.clock.now()
-        u = None
-        while heap:
-            key, cand = heap[0]
-            if scan_at.get(cand, -1) != key or not self._crawlable(cand):
-                heapq.heappop(heap)
-                continue
-            if key >= 0 and now - key < self.cfg.lists_recrawl_window:
-                return False
-            heapq.heappop(heap)
-            u = cand
-            break
-        if u is None:
-            return False
-        endpoint = {
-            "memberships": Endpoint.LISTS_MEMBERSHIPS,
-            "ownerships": Endpoint.LISTS_OWNERSHIPS,
-            "subscriptions": Endpoint.LISTS_SUBSCRIPTIONS,
-        }[endpoint_name]
-        call = {
-            "memberships": self.api.lists_memberships,
-            "ownerships": self.api.lists_ownerships,
-            "subscriptions": self.api.lists_subscriptions,
-        }[endpoint_name]
-        status, records = self._request(endpoint, u, lambda: call(u))
-        if status == _BLOCKED:
-            heapq.heappush(heap, (scan_at.get(u, -1), u))
-            return False
-        if status == _ERR:
-            self._transition_on_error(u, records)
-            return True
-        from .model import ListMembership, ListSubscription
-
-        for record in records:
-            self.store.put_list(record)
-            if endpoint_name == "memberships":
-                self.store.put_membership(
-                    ListMembership(list_id=record.id, member=u, observed_at=now)
-                )
-            elif endpoint_name == "subscriptions":
-                self.store.put_subscription(
-                    ListSubscription(list_id=record.id, subscriber=u, observed_at=now)
-                )
-            if record.id not in self._member_scanned:
-                self._member_scanned[record.id] = -1
-                self._member_queue.append(record.id)
-        scan_at[u] = now
-        heapq.heappush(heap, (now, u))
-        return True
-
     def _step_list_members(self) -> bool:
-        from .apiface import ListNotFound
-        from .model import ListMembership
-
+        now = self.clock.now()
+        while self._member_retry and self._member_retry[0][0] <= now:
+            self._member_queue.append(self._member_retry.popleft()[1])
         if not self._member_queue:
             return False
         list_id = self._member_queue[0]
@@ -867,12 +844,14 @@ class Crawler:
         if status == _BLOCKED:
             return False
         if status == _ERR:
-            if isinstance(result, ListNotFound):
-                self._member_queue.popleft()
-                self._member_cursor = None
+            # a vanished list is dropped; any other failure restarts the list
+            # at the back of the queue once the next budget window opens
+            self._member_queue.popleft()
+            self._member_cursor = None
+            if not isinstance(result, ListNotFound):
+                self._member_retry.append((_next_window(now), list_id))
             return True
         ids, nxt = result
-        now = self.clock.now()
         for member in ids:
             self.store.put_membership(
                 ListMembership(list_id=list_id, member=member, observed_at=now)
@@ -883,36 +862,9 @@ class Crawler:
             self._member_scanned[list_id] = now
         return True
 
-    # -- profiles / trends / stream / classify ----------------------------------------------
-
-    def _step_profiles(self) -> bool:
-        u = self._pop_scan_user(
-            self._profile_heap, "profile_fetched_at", self.cfg.profile_refresh_window
-        )
-        if u is None:
-            return False
-        status, snap = self._request(
-            Endpoint.USERS_SHOW, u, lambda: self.api.users_show(u)
-        )
-        if status == _BLOCKED:
-            heapq.heappush(
-                self._profile_heap,
-                (self.store.get_crawl_state(u).profile_fetched_at or -1, u),
-            )
-            return False
-        if status == _ERR:
-            self._transition_on_error(u, snap)
-            return True
-        self.store.put_snapshot(snap)
-        now = self.clock.now()
-        state = self.store.get_crawl_state(u)
-        self.store.put_crawl_state(replace(state, profile_fetched_at=now))
-        heapq.heappush(self._profile_heap, (now, u))
-        return True
+    # -- trends / stream / classify ----------------------------------------------------------
 
     def _step_trends(self) -> bool:
-        from .apiface import PlaceUnknown
-
         now = self.clock.now()
         for place in self.cfg.places:
             last = self._last_trend.get(place)
@@ -985,7 +937,7 @@ class Crawler:
                 if step():
                     progressed = True
             if not progressed:
-                boundary = (self.clock.now() // 900 + 1) * 900
+                boundary = _next_window(self.clock.now())
                 self.clock.sleep_until(min(boundary, until))
 
     def drain(self) -> None:
@@ -1002,7 +954,7 @@ class Crawler:
                     self._walks[qname] = None
                     walk = None
                 elif status == _BLOCKED:
-                    self.clock.sleep_until((self.clock.now() // 900 + 1) * 900)
+                    self.clock.sleep_until(_next_window(self.clock.now()))
         swept: set[UserId] = set()
         while True:
             self._run_classification()
@@ -1019,7 +971,7 @@ class Crawler:
                     swept.add(u)
                     if self._crawlable(u) and u not in self._walking:
                         walk = _TimelineWalk(
-                            u, "drain", self.store.get_crawl_state(u), self.clock.now()
+                            u, None, self.store.get_crawl_state(u), self.clock.now()
                         )
                         self._walking.add(u)
                     progressed = True
@@ -1033,15 +985,7 @@ class Crawler:
                 if self._step_lookup():
                     progressed = True
                 if not progressed:
-                    self.clock.sleep_until((self.clock.now() // 900 + 1) * 900)
+                    self.clock.sleep_until(_next_window(self.clock.now()))
 
     def _gone_retry_due(self) -> bool:
         return bool(self._gone_retry) and self._gone_retry[0][0] <= self.clock.now()
-
-    def write_log(self, path) -> int:
-        from .store import dumps
-
-        with open(path, "w", encoding="utf-8") as fh:
-            for rec in self.log:
-                fh.write(dumps(rec) + "\n")
-        return len(self.log)

@@ -22,6 +22,8 @@ from typing import Iterable
 
 from . import lexicons as lex
 from .apiface import (
+    DEFAULT_BUDGETS,
+    TIMELINE_DEPTH,
     Cursor,
     Endpoint,
     GONE,
@@ -766,11 +768,11 @@ class World:
         u: UserId,
         since: TweetId | None = None,
         max_id: TweetId | None = None,
-        count: int = 200,
+        count: int = DEFAULT_BUDGETS[Endpoint.USER_TIMELINE].page_size,
     ) -> list[Tweet]:
         user = self._visible_user(u, Endpoint.USER_TIMELINE)
         ids = user.tweet_ids
-        window_start = max(0, len(ids) - 3200)  # platform never serves deeper
+        window_start = max(0, len(ids) - TIMELINE_DEPTH)
         lo = window_start
         if since is not None:
             lo = max(lo, bisect.bisect_right(ids, since, lo=window_start))
@@ -791,7 +793,7 @@ class World:
 
     def statuses_lookup(self, ids: Iterable[TweetId]) -> dict[TweetId, LookupResult]:
         ids = list(ids)
-        assert len(ids) <= 100
+        assert len(ids) <= DEFAULT_BUDGETS[Endpoint.STATUSES_LOOKUP].page_size
         out: dict[TweetId, LookupResult] = {}
         hits = 0
         for tid in ids:
@@ -810,8 +812,9 @@ class World:
         return user.snapshot(self.now)
 
     def _page_ids(
-        self, seq: list[UserId], cursor: Cursor, page: int
+        self, seq: list[UserId], cursor: Cursor, endpoint: Endpoint
     ) -> tuple[list[UserId], Cursor]:
+        page = DEFAULT_BUDGETS[endpoint].page_size
         start = cursor or 0
         chunk = [v for v in seq[start : start + page] if self._listed(v)]
         nxt = start + page
@@ -823,27 +826,27 @@ class World:
 
     def friends_ids(self, u: UserId, cursor: Cursor = None) -> tuple[list[UserId], Cursor]:
         user = self._visible_user(u, Endpoint.FRIENDS_IDS)
-        out = self._page_ids(user.friends, cursor, 5000)
+        out = self._page_ids(user.friends, cursor, Endpoint.FRIENDS_IDS)
         self._log(Endpoint.FRIENDS_IDS, u, f"ok:{len(out[0])}")
         return out
 
     def followers_ids(self, u: UserId, cursor: Cursor = None) -> tuple[list[UserId], Cursor]:
         user = self._visible_user(u, Endpoint.FOLLOWERS_IDS)
-        out = self._page_ids(user.followers, cursor, 5000)
+        out = self._page_ids(user.followers, cursor, Endpoint.FOLLOWERS_IDS)
         self._log(Endpoint.FOLLOWERS_IDS, u, f"ok:{len(out[0])}")
         return out
 
     def _snapshot_page(
-        self, seq: list[UserId], cursor: Cursor
+        self, seq: list[UserId], cursor: Cursor, endpoint: Endpoint
     ) -> tuple[list[UserSnapshot], Cursor]:
-        ids, nxt = self._page_ids(seq, cursor, 200)
+        ids, nxt = self._page_ids(seq, cursor, endpoint)
         return [self.users[v].snapshot(self.now) for v in ids], nxt
 
     def friends_list(
         self, u: UserId, cursor: Cursor = None
     ) -> tuple[list[UserSnapshot], Cursor]:
         user = self._visible_user(u, Endpoint.FRIENDS_LIST)
-        out = self._snapshot_page(user.friends, cursor)
+        out = self._snapshot_page(user.friends, cursor, Endpoint.FRIENDS_LIST)
         self._log(Endpoint.FRIENDS_LIST, u, f"ok:{len(out[0])}")
         return out
 
@@ -851,12 +854,15 @@ class World:
         self, u: UserId, cursor: Cursor = None
     ) -> tuple[list[UserSnapshot], Cursor]:
         user = self._visible_user(u, Endpoint.FOLLOWERS_LIST)
-        out = self._snapshot_page(user.followers, cursor)
+        out = self._snapshot_page(user.followers, cursor, Endpoint.FOLLOWERS_LIST)
         self._log(Endpoint.FOLLOWERS_LIST, u, f"ok:{len(out[0])}")
         return out
 
     def favorites_list(
-        self, u: UserId, max_id: TweetId | None = None, count: int = 200
+        self,
+        u: UserId,
+        max_id: TweetId | None = None,
+        count: int = DEFAULT_BUDGETS[Endpoint.FAVORITES_LIST].page_size,
     ) -> list[FavoriteRecord]:
         user = self._visible_user(u, Endpoint.FAVORITES_LIST)
         ids = user.liked_ids
@@ -895,7 +901,7 @@ class World:
         if list_id not in self.lists:
             self._log(Endpoint.LISTS_MEMBERS, list_id, "not_found")
             raise ListNotFound(str(list_id))
-        out = self._page_ids(self.list_members[list_id], cursor, 5000)
+        out = self._page_ids(self.list_members[list_id], cursor, Endpoint.LISTS_MEMBERS)
         self._log(Endpoint.LISTS_MEMBERS, list_id, f"ok:{len(out[0])}")
         return out
 

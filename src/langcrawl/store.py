@@ -78,7 +78,6 @@ class Store:
         self.memberships: dict[tuple[int, UserId], ListMembership] = {}
         self.subscriptions: dict[tuple[int, UserId], ListSubscription] = {}
         self.favorites: dict[tuple[UserId, TweetId], FavoriteRecord] = {}
-        self._favorites_by_author: dict[UserId, set[UserId]] = defaultdict(set)
         self.trends: list[TrendSnapshot] = []
         self.shorturl: dict[str, str] = {}
         self.classes: dict[UserId, UserClass] = {}
@@ -147,9 +146,6 @@ class Store:
     def get_tweet(self, tid: TweetId) -> Tweet | None:
         return self.tweets.get(tid)
 
-    def has_tweet(self, tid: TweetId) -> bool:
-        return tid in self.tweets
-
     def author_tweet_ids(self, u: UserId) -> list[TweetId]:
         return self._author_tweets.get(u, [])
 
@@ -159,9 +155,6 @@ class Store:
     def tweet_authors(self) -> list[UserId]:
         """Every user with at least one stored tweet, ascending id."""
         return sorted(self._author_tweets)
-
-    def author_tweets(self, u: UserId) -> list[Tweet]:
-        return [self.tweets[tid] for tid in self._author_tweets.get(u, ())]
 
     def author_lang_counts(self, u: UserId) -> Counter:
         return self._author_langs.get(u, Counter())
@@ -226,7 +219,6 @@ class Store:
             if key in self.favorites:
                 return False
             self.favorites[key] = f
-            self._favorites_by_author[f.tweet_author].add(f.user)
             self.mutations += 1
             return True
 
@@ -283,17 +275,11 @@ class Store:
     def all_favorites(self) -> list[FavoriteRecord]:
         return [self.favorites[k] for k in sorted(self.favorites)]
 
-    def favoriters_of(self, author: UserId) -> set[UserId]:
-        return self._favorites_by_author.get(author, set())
-
     def members_by_list(self) -> dict[int, set[UserId]]:
         out: dict[int, set[UserId]] = {}
         for list_id, member in self.memberships:
             out.setdefault(list_id, set()).add(member)
         return out
-
-    def all_crawl_states(self) -> list[CrawlState]:
-        return [self.crawl_states[u] for u in sorted(self.crawl_states)]
 
     # -- crawl state -----------------------------------------------------------------
 

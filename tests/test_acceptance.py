@@ -429,7 +429,7 @@ def test_criterion_08_favorites_walk_stop_rule():
 
     def scan() -> int:
         mark = len(crawler.log)
-        while crawler._step_favorites():
+        while crawler._step_scan("favorites"):
             pass
         return sum(1 for r in crawler.log[mark:] if r["endpoint"] == "favorites_list")
 

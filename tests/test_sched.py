@@ -114,7 +114,7 @@ def test_rate_estimate_is_an_ema():
 
 def favorites_scan(crawler) -> int:
     mark = len(crawler.log)
-    while crawler._step_favorites():
+    while crawler._step_scan("favorites"):
         pass
     return sum(
         1 for r in crawler.log[mark:] if r["endpoint"] == "favorites_list"
@@ -289,3 +289,103 @@ def test_lookup_error_requeues_batch():
         tid for tid in api.failed if store.get_tweet(tid) is None and tid not in crawler._pending
     ]
     assert not dropped
+
+
+class FailOnceAfter:
+    """A World whose first `method` call at or after `at` that starts a visit
+    (no cursor and no max_id) raises a transient ApiError. It records the
+    time of every visit start of `counted`, per target."""
+
+    def __init__(self, world, method, at, counted):
+        self.world = world
+        self.method = method
+        self.at = at
+        self.counted = counted
+        self.failed: tuple | None = None  # (target, when)
+        self.starts: dict[int, list[int]] = {}
+
+    def __getattr__(self, name):
+        call = getattr(self.world, name)
+        if name not in (self.method, self.counted):
+            return call
+
+        def wrapped(target, *args, **kwargs):
+            if kwargs.get("cursor") is None and kwargs.get("max_id") is None:
+                now = self.world.now
+                if name == self.counted:
+                    self.starts.setdefault(target, []).append(now)
+                if name == self.method and self.failed is None and now >= self.at:
+                    self.failed = (target, now)
+                    raise ApiError("transient")
+            return call(target, *args, **kwargs)
+
+        return wrapped
+
+
+HOURS = 3600
+ERROR_CASES = {
+    # name: (failing method, visits counted, loops, fail at hour, config)
+    "timeline_stale": ("user_timeline", "user_timeline", ("tweets",), 0, {}),
+    "timeline_expected": (
+        "user_timeline",
+        "user_timeline",
+        ("tweets",),
+        24,
+        {"min_staleness": 365 * DAY, "target_batch": 10},
+    ),
+    # the tweets loop calls users_show only to arm a walk's stop count
+    "timeline_arming": ("users_show", "user_timeline", ("tweets",), 0, {}),
+    "profiles": ("users_show", "users_show", ("profiles",), 0, {}),
+    "friends_ids": ("friends_ids", "friends_ids", ("follow",), 0, {}),
+    "friends_list": ("friends_list", "friends_list", ("follow",), 0, {}),
+    "followers_ids": ("followers_ids", "followers_ids", ("follow",), 0, {}),
+    "followers_list": ("followers_list", "followers_list", ("follow",), 0, {}),
+    "favorites": ("favorites_list", "favorites_list", ("favorites",), 0, {}),
+    "lists_memberships": ("lists_memberships", "lists_memberships", ("lists",), 0, {}),
+    "lists_ownerships": ("lists_ownerships", "lists_ownerships", ("lists",), 0, {}),
+    "lists_subscriptions": ("lists_subscriptions", "lists_subscriptions", ("lists",), 0, {}),
+    "lists_members": ("lists_members", "lists_members", ("lists",), 0, {}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ERROR_CASES))
+def test_transient_error_requeues_user_for_next_window(case):
+    method, counted, loops, hour, cfg_kw = ERROR_CASES[case]
+    w = World(
+        WorldConfig(
+            seed=31,
+            n_users=20,
+            community_fractions={"el": 1.0},
+            activity_min=10.0,
+            activity_max=10.0,
+            lists_per_user=0.5,
+        )
+    )
+    w.advance(25 * DAY)  # a history deeper than one timeline page
+    store = Store()
+    for u in w.users:
+        store.set_class(u, UserClass.TRACKED, w.now)
+    windows = dict(
+        min_staleness=DAY,
+        target_batch=10**9,
+        follow_recrawl_window=DAY,
+        favorites_recrawl_window=DAY,
+        lists_recrawl_window=DAY,
+        profile_refresh_window=DAY,
+    )
+    cfg = SchedulerConfig(loops=loops, drain=False, **{**windows, **cfg_kw})
+    api = FailOnceAfter(w, method, w.now + hour * HOURS, counted)
+    crawler = Crawler(api, store, RateLimiter(), SimClock(w), cfg)
+    crawler.run(w.now + 6 * DAY)
+
+    assert api.failed is not None, "no request failed"
+    target, failed_at = api.failed
+    assert [r["outcome"] for r in crawler.log].count("api_error") == 1
+    visits = api.starts.pop(target)
+    later = [t for t in visits if t > failed_at]
+    assert later, "the failing target was never visited again"
+    # due again when the next budget window opens, not on the next pass
+    assert min(later) >= (failed_at // 900 + 1) * 900
+    peers = [len(v) for v in api.starts.values()]
+    assert peers, "no other target was visited"
+    assert min(peers) - 1 <= len(visits) <= max(peers) + 1, (len(visits), peers)
