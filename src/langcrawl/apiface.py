@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import enum
 import json
-import threading
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable, Protocol, Union
@@ -139,20 +138,18 @@ class RateLimiter:
 
     def __init__(self, budgets: dict[Endpoint, Budget] | None = None) -> None:
         self.budgets = dict(budgets or DEFAULT_BUDGETS)
-        self._lock = threading.Lock()
         self._used: dict[Endpoint, tuple[int, int]] = {}  # endpoint -> (window index, count)
 
     def acquire(self, e: Endpoint, now: Timestamp) -> Granted | RetryAfter:
         budget = self.budgets[e]
         index = now // budget.window
-        with self._lock:
-            window, used = self._used.get(e, (index, 0))
-            if window != index:
-                used = 0
-            if used < budget.max_requests:
-                self._used[e] = (index, used + 1)
-                return GRANTED
-            return RetryAfter(duration=(index + 1) * budget.window - now)
+        window, used = self._used.get(e, (index, 0))
+        if window != index:
+            used = 0
+        if used < budget.max_requests:
+            self._used[e] = (index, used + 1)
+            return GRANTED
+        return RetryAfter(duration=(index + 1) * budget.window - now)
 
 
 class Gone:

@@ -7,7 +7,8 @@ except `crawl`, which appends. Failures print a single machine-readable
 JSON line on stderr and exit nonzero.
 
 Store directory layout (created by `crawl`):
-    <dir>/store/            collections, one JSONL file each
+    <dir>/store/            collections, one JSONL file each; a save passes
+                            through store.tmp/ and store.old/ beside it
     <dir>/runlog.jsonl      request log, appended per crawl
     <dir>/ground_truth.jsonl  world state at the end of the crawl
     <dir>/manifest.json     resolved copy of the run manifest
@@ -110,13 +111,20 @@ def _store_paths(store_dir: str | Path) -> dict[str, Path]:
     }
 
 
-def _load_store(store_dir: str | Path) -> Store:
-    p = _store_paths(store_dir)["store"]
-    return Store.load(p) if p.is_dir() else Store()
+# The collections each read-only command reads. `crawl` and `classify` load
+# the whole store, because they may save it.
+MINE_READS = ("users", "tweets", "follow", "followscans", "memberships", "favorites", "crawlstate")
+REPORT_READS = ("tweets", "classes")
+
+
+def _load_store(store_dir: str | Path, collections: tuple[str, ...] | None = None) -> Store:
+    return Store.load(_store_paths(store_dir)["store"], collections)
 
 
 def _store_now(store: Store) -> int:
-    """Latest virtual moment the store knows about; 0 on a blank store."""
+    """Latest virtual moment the store knows about; 0 on a blank store.
+
+    Reads users, tweets and crawlstate."""
     candidates = [0]
     candidates += [t.created_at for t in store.tweets.values()]
     candidates += [
@@ -235,7 +243,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
 
 
 def cmd_mine(args: argparse.Namespace) -> int:
-    store = _load_store(args.store)
+    store = _load_store(args.store, MINE_READS)
     kinds = args.kinds.split(",") if args.kinds else list(MINE_KINDS)
     unknown = set(kinds) - set(MINE_KINDS)
     if unknown:
@@ -282,7 +290,7 @@ def cmd_vectorize(args: argparse.Namespace) -> int:
 
 def cmd_report(args: argparse.Namespace) -> int:
     paths = _store_paths(args.store)
-    store = _load_store(args.store)
+    store = _load_store(args.store, REPORT_READS)
     out_dir = paths["report"]
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -342,7 +350,7 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 
 def cmd_export(args: argparse.Namespace) -> int:
-    store = _load_store(args.store)
+    store = _load_store(args.store, (args.collection,))
     out = (
         Path(args.out)
         if args.out

@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, fields
-from typing import Any
+from functools import cache
+from operator import attrgetter, itemgetter
+from typing import Any, Callable, get_args, get_origin, get_type_hints
 
 UserId = int
 TweetId = int
@@ -257,34 +259,60 @@ def validate_tweet(raw: dict) -> Tweet:
 #
 # Records serialize to flat dicts whose keys are exactly the dataclass field
 # names. Tuples become lists, enums their value; from_record reverses both.
+# Each class gets one encoder and one decoder, built from its field types on
+# first use, so no record pays for reflection.
+
+
+def _field_codec(hint: Any) -> tuple[Callable, Callable] | None:
+    """(encode, decode) for a field of type `hint`, or None when its JSON
+    form is the value itself."""
+    if isinstance(hint, type) and issubclass(hint, enum.Enum):
+        return attrgetter("value"), hint
+    args = get_args(hint)
+    if type(None) in args:  # X | None
+        inner = _field_codec(args[0])
+        if inner is None:
+            return None
+        enc, dec = inner
+        return (
+            lambda v: None if v is None else enc(v),
+            lambda v: None if v is None else dec(v),
+        )
+    if get_origin(hint) is tuple:  # of one element type
+        inner = _field_codec(args[0])
+        if inner is None:
+            return list, tuple
+        enc, dec = inner
+        return lambda v: [enc(x) for x in v], lambda v: tuple(map(dec, v))
+    return None
+
+
+@cache
+def _codecs(cls: type) -> tuple[Callable[[Any], dict], Callable[[dict], Any]]:
+    hints = get_type_hints(cls)
+    names = [f.name for f in fields(cls)]
+    convs = [(i, _field_codec(hints[name])) for i, name in enumerate(names)]
+    convs = [(i, codec) for i, codec in convs if codec is not None]
+    get_attrs, get_items = attrgetter(*names), itemgetter(*names)
+
+    def encode(obj: Any) -> dict:
+        values = list(get_attrs(obj))
+        for i, (enc, _) in convs:
+            values[i] = enc(values[i])
+        return dict(zip(names, values))
+
+    def decode(rec: dict) -> Any:
+        values = list(get_items(rec))
+        for i, (_, dec) in convs:
+            values[i] = dec(values[i])
+        return cls(*values)
+
+    return encode, decode
+
 
 def to_record(obj: Any) -> dict:
-    out = {}
-    for f in fields(obj):
-        v = getattr(obj, f.name)
-        if isinstance(v, enum.Enum):
-            v = v.value
-        elif isinstance(v, tuple):
-            v = [list(x) if isinstance(x, tuple) else x for x in v]
-        out[f.name] = v
-    return out
-
-
-def _tupled(v: Any) -> Any:
-    if isinstance(v, list):
-        return tuple(_tupled(x) for x in v)
-    return v
+    return _codecs(type(obj))[0](obj)
 
 
 def from_record(cls: type, rec: dict) -> Any:
-    kwargs = {}
-    for f in fields(cls):
-        v = rec[f.name]
-        if f.name in _REF_FIELDS and v is not None:
-            v = (v[0], v[1])
-        elif isinstance(v, list):
-            v = _tupled(v)
-        if cls is ClassTransition and f.name in ("old", "new"):
-            v = UserClass(v)
-        kwargs[f.name] = v
-    return cls(**kwargs)
+    return _codecs(cls)[1](rec)

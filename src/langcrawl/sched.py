@@ -15,9 +15,9 @@ class transition its error implies (dead, suspended, protected), and its user
 goes back into the queue it came from, scan stamp unchanged, due when the
 next 900-second budget window opens. A user that keeps failing costs a loop
 at most one request per window and never holds up the users behind it. A
-failed list-members page sends its list back the same way. Only the
-roundrobin planner, kept as a baseline, still drops a user whose timeline
-request failed from its cycle.
+failed list-members page sends its list back the same way. Under the
+roundrobin planner, kept as a baseline, a failed walk's user goes back to the
+end of the cycle, as after any other walk.
 
 Everything runs single-threaded against a virtual clock; one orchestrator
 pass gives every loop at most one API request. Walks keep their own cursor
@@ -533,6 +533,9 @@ class Crawler:
         if status == "done":
             self._walks[queue] = None
             self._walking.discard(walk.user)
+            if self.cfg.planner == "roundrobin":
+                # back into the cycle however the walk ended, error included
+                self._rr_queue.append(walk.user)
         return True
 
     def _walk_step(self, walk: _TimelineWalk) -> str:
@@ -635,8 +638,6 @@ class Crawler:
         self.store.put_crawl_state(state)
         self._stale.push(walk.user)
         self._push_expected(walk.user, state)
-        if self.cfg.planner == "roundrobin":
-            self._rr_queue.append(walk.user)
 
     # -- lookups -------------------------------------------------------------------
 

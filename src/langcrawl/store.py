@@ -2,15 +2,22 @@
 
 One process, in-memory collections, JSON-lines import/export. No external
 database: the whole point of the design is that a single machine can hold a
-mid-sized language community. Every mutating operation is atomic per key via
-one coarse lock, which is all the sequential crawl loops need.
+mid-sized language community. The process is single-threaded by design, so
+no write takes a lock.
+
+A saved store is a directory of one JSON-lines file per collection. `save`
+writes them all into the sibling `<dir>.tmp/` and swaps it in by two
+renames, the old directory going aside as `<dir>.old/` until it is removed;
+`load` finishes a swap that a dying process left half done, so a crash
+mid-save leaves the old store or the new one, never a mix of the two.
 """
 from __future__ import annotations
 
 import bisect
 import enum
 import json
-import threading
+import os
+import shutil
 from collections import Counter, defaultdict
 from pathlib import Path
 from typing import Callable, Iterable
@@ -57,14 +64,17 @@ def _snapshot_core(s: UserSnapshot) -> tuple:
     return tuple(sorted(rec.items()))
 
 
+_ENCODER = json.JSONEncoder(ensure_ascii=False, sort_keys=True, separators=(",", ":"))
+_DECODER = json.JSONDecoder()
+
+
 def dumps(rec: dict) -> str:
     """Canonical JSON line: sorted keys, no spaces, UTF-8 kept readable."""
-    return json.dumps(rec, ensure_ascii=False, sort_keys=True, separators=(",", ":"))
+    return _ENCODER.encode(rec)
 
 
 class Store:
     def __init__(self) -> None:
-        self._lock = threading.RLock()
         self.snapshots: dict[UserId, list[UserSnapshot]] = defaultdict(list)
         self.screen_name_index: dict[str, UserId] = {}
         self.tweets: dict[TweetId, Tweet] = {}
@@ -85,6 +95,7 @@ class Store:
         self.crawl_states: dict[UserId, CrawlState] = {}
         self.gone_refs: dict[UserId, set[TweetId]] = defaultdict(set)
         self.mutations = 0  # bumped on every write; cheap cache invalidation
+        self._missing: frozenset[str] = frozenset()  # collections load skipped
 
     # -- users ---------------------------------------------------------------
 
@@ -95,18 +106,17 @@ class Store:
         when a new snapshot claims a name another user held, the older claimant
         is assumed stale and loses its index entry.
         """
-        with self._lock:
-            history = self.snapshots[s.id]
-            if history and _snapshot_core(history[-1]) == _snapshot_core(s):
-                return PutSnapshotResult.SKIPPED_TWEET_COUNT_ONLY
-            if history:
-                old_key = history[-1].screen_name.lower()
-                if self.screen_name_index.get(old_key) == s.id:
-                    del self.screen_name_index[old_key]
-            self.screen_name_index[s.screen_name.lower()] = s.id
-            history.append(s)
-            self.mutations += 1
-            return PutSnapshotResult.STORED
+        history = self.snapshots[s.id]
+        if history and _snapshot_core(history[-1]) == _snapshot_core(s):
+            return PutSnapshotResult.SKIPPED_TWEET_COUNT_ONLY
+        if history:
+            old_key = history[-1].screen_name.lower()
+            if self.screen_name_index.get(old_key) == s.id:
+                del self.screen_name_index[old_key]
+        self.screen_name_index[s.screen_name.lower()] = s.id
+        history.append(s)
+        self.mutations += 1
+        return PutSnapshotResult.STORED
 
     def latest_snapshot(self, u: UserId) -> UserSnapshot | None:
         history = self.snapshots.get(u)
@@ -125,23 +135,22 @@ class Store:
     # -- tweets ----------------------------------------------------------------
 
     def put_tweet(self, t: Tweet) -> PutTweetResult:
-        with self._lock:
-            old = self.tweets.get(t.id)
-            if old is not None:
-                if old.truncated and not t.truncated:
-                    self.tweets[t.id] = t
-                    for short, expanded in t.urls:
-                        self.shorturl[short] = expanded
-                    self.mutations += 1
-                    return PutTweetResult.UPGRADED
-                return PutTweetResult.DUPLICATE
-            self.tweets[t.id] = t
-            bisect.insort(self._author_tweets[t.author], t.id)
-            self._author_langs[t.author][t.lang] += 1
-            for short, expanded in t.urls:
-                self.shorturl[short] = expanded
-            self.mutations += 1
-            return PutTweetResult.INSERTED
+        old = self.tweets.get(t.id)
+        if old is not None:
+            if old.truncated and not t.truncated:
+                self.tweets[t.id] = t
+                for short, expanded in t.urls:
+                    self.shorturl[short] = expanded
+                self.mutations += 1
+                return PutTweetResult.UPGRADED
+            return PutTweetResult.DUPLICATE
+        self.tweets[t.id] = t
+        bisect.insort(self._author_tweets[t.author], t.id)
+        self._author_langs[t.author][t.lang] += 1
+        for short, expanded in t.urls:
+            self.shorturl[short] = expanded
+        self.mutations += 1
+        return PutTweetResult.INSERTED
 
     def get_tweet(self, tid: TweetId) -> Tweet | None:
         return self.tweets.get(tid)
@@ -176,16 +185,14 @@ class Store:
     # -- follow graph ----------------------------------------------------------
 
     def append_follow(self, e: FollowEdge) -> None:
-        with self._lock:
-            self.follow_log.append(e)
-            self._friends_ever[e.src].add(e.dst)
-            self._followers_ever[e.dst].add(e.src)
-            self.mutations += 1
+        self.follow_log.append(e)
+        self._friends_ever[e.src].add(e.dst)
+        self._followers_ever[e.dst].add(e.src)
+        self.mutations += 1
 
     def record_follow_scan(self, scan: FollowScan) -> None:
-        with self._lock:
-            self.follow_scans.append(scan)
-            self.mutations += 1
+        self.follow_scans.append(scan)
+        self.mutations += 1
 
     def friends_ever(self, u: UserId) -> set[UserId]:
         return self._friends_ever.get(u, set())
@@ -196,31 +203,27 @@ class Store:
     # -- lists -----------------------------------------------------------------
 
     def put_list(self, r: ListRecord) -> None:
-        with self._lock:
-            self.lists[r.id] = r
-            self.mutations += 1
+        self.lists[r.id] = r
+        self.mutations += 1
 
     def put_membership(self, m: ListMembership) -> None:
-        with self._lock:
-            self.memberships.setdefault((m.list_id, m.member), m)
-            self.mutations += 1
+        self.memberships.setdefault((m.list_id, m.member), m)
+        self.mutations += 1
 
     def put_subscription(self, s: ListSubscription) -> None:
-        with self._lock:
-            self.subscriptions.setdefault((s.list_id, s.subscriber), s)
-            self.mutations += 1
+        self.subscriptions.setdefault((s.list_id, s.subscriber), s)
+        self.mutations += 1
 
     # -- favorites ---------------------------------------------------------------
 
     def put_favorite(self, f: FavoriteRecord) -> bool:
         """Store one like; returns False when (user, tweet) was already known."""
         key = (f.user, f.tweet)
-        with self._lock:
-            if key in self.favorites:
-                return False
-            self.favorites[key] = f
-            self.mutations += 1
-            return True
+        if key in self.favorites:
+            return False
+        self.favorites[key] = f
+        self.mutations += 1
+        return True
 
     def has_favorite(self, user: UserId, tweet: TweetId) -> bool:
         return (user, tweet) in self.favorites
@@ -228,24 +231,21 @@ class Store:
     # -- trends / gone refs ------------------------------------------------------
 
     def put_trend(self, t: TrendSnapshot) -> None:
-        with self._lock:
-            self.trends.append(t)
-            self.mutations += 1
+        self.trends.append(t)
+        self.mutations += 1
 
     def add_gone_ref(self, author: UserId, tweet: TweetId) -> None:
-        with self._lock:
-            self.gone_refs[author].add(tweet)
-            self.mutations += 1
+        self.gone_refs[author].add(tweet)
+        self.mutations += 1
 
     def discard_gone_ref(self, author: UserId, tweet: TweetId) -> None:
         """Withdraw a gone record after a retry resolved the tweet after all."""
-        with self._lock:
-            refs = self.gone_refs.get(author)
-            if refs and tweet in refs:
-                refs.discard(tweet)
-                if not refs:
-                    del self.gone_refs[author]
-                self.mutations += 1
+        refs = self.gone_refs.get(author)
+        if refs and tweet in refs:
+            refs.discard(tweet)
+            if not refs:
+                del self.gone_refs[author]
+            self.mutations += 1
 
     def gone_count(self, author: UserId) -> int:
         return len(self.gone_refs.get(author, ()))
@@ -257,14 +257,13 @@ class Store:
 
     def set_class(self, u: UserId, new: UserClass, at: Timestamp) -> bool:
         """Record a class transition. No-op (False) when the class is unchanged."""
-        with self._lock:
-            old = self.user_class(u)
-            if old == new:
-                return False
-            self.classes[u] = new
-            self.class_history.append(ClassTransition(user=u, old=old, new=new, at=at))
-            self.mutations += 1
-            return True
+        old = self.user_class(u)
+        if old == new:
+            return False
+        self.classes[u] = new
+        self.class_history.append(ClassTransition(user=u, old=old, new=new, at=at))
+        self.mutations += 1
+        return True
 
     def users_in_class(self, *classes: UserClass) -> list[UserId]:
         wanted = set(classes)
@@ -287,9 +286,8 @@ class Store:
         return self.crawl_states.get(u) or CrawlState(user=u)
 
     def put_crawl_state(self, state: CrawlState) -> None:
-        with self._lock:
-            self.crawl_states[state.user] = state
-            self.mutations += 1
+        self.crawl_states[state.user] = state
+        self.mutations += 1
 
     # -- import / export ---------------------------------------------------------------
 
@@ -307,7 +305,7 @@ class Store:
             ),
             "tweets": (
                 lambda: (model.to_record(self.tweets[i]) for i in sorted(self.tweets)),
-                lambda rec: self.put_tweet(model.from_record(Tweet, rec)),
+                lambda rec: self._import_tweet(model.from_record(Tweet, rec)),
                 lambda rec: {"id": rec["id"], "author": rec["author"]},
             ),
             "follow": (
@@ -416,6 +414,19 @@ class Store:
         self.snapshots[s.id].append(s)
         self.screen_name_index[s.screen_name.lower()] = s.id
 
+    def _import_tweet(self, t: Tweet) -> None:
+        # import path: save writes tweets in ascending id order, so each
+        # author's id list stays sorted by appending
+        ids = self._author_tweets[t.author]
+        if t.id in self.tweets or (ids and ids[-1] > t.id):
+            raise ValueError(f"tweets are not in ascending id order at tweet {t.id}")
+        self.tweets[t.id] = t
+        ids.append(t.id)
+        self._author_langs[t.author][t.lang] += 1
+        for short, expanded in t.urls:
+            self.shorturl[short] = expanded
+        self.mutations += 1
+
     def export_collection(
         self, name: str, path: str | Path, ids_only: bool = False
     ) -> int:
@@ -424,6 +435,8 @@ class Store:
         ids_only drops content fields and keeps identifiers, for exports that
         must not carry text or profile details.
         """
+        if name in self._missing:
+            raise RuntimeError(f"collection {name!r} was not loaded")
         records, _, project = self._collections()[name]
         n = 0
         with open(path, "w", encoding="utf-8") as fh:
@@ -441,26 +454,88 @@ class Store:
             for line in fh:
                 line = line.strip()
                 if line:
-                    insert(json.loads(line))
+                    rec, end = _DECODER.raw_decode(line)
+                    if end != len(line):
+                        raise ValueError(f"{path}: data after record {n + 1}")
+                    insert(rec)
                     n += 1
         return n
 
     def save(self, directory: str | Path) -> None:
+        """Write every collection to `directory`, replacing it as a whole.
+
+        The directory must hold nothing but a saved store. A store that was
+        loaded in part refuses to save, since the collections it skipped
+        would be lost.
+        """
+        if self._missing:
+            raise RuntimeError(
+                f"store loaded without {sorted(self._missing)} cannot be saved"
+            )
         directory = Path(directory)
-        directory.mkdir(parents=True, exist_ok=True)
+        _finish_swap(directory)
+        if directory.is_dir():
+            stray = {p.name for p in directory.iterdir()} - set(_FILES)
+            if stray:
+                raise FileExistsError(f"{directory} holds files not of a store: {sorted(stray)}")
+        tmp, old = _siblings(directory)
+        if tmp.exists():
+            shutil.rmtree(tmp)  # a save that died before its swap
+        tmp.mkdir(parents=True)
         for name in self.COLLECTIONS:
-            self.export_collection(name, directory / f"{name}.jsonl")
+            self.export_collection(name, tmp / f"{name}.jsonl")
+        if directory.exists():
+            os.replace(directory, old)
+        os.replace(tmp, directory)
+        _finish_swap(directory)  # removes the old store
 
     @classmethod
-    def load(cls, directory: str | Path) -> "Store":
+    def load(cls, directory: str | Path, collections: Iterable[str] | None = None) -> "Store":
+        """Read a saved store; a missing directory or file reads as empty.
+
+        With `collections`, only those are read, and the store refuses to
+        save or to export any other.
+        """
         directory = Path(directory)
+        wanted = set(cls.COLLECTIONS if collections is None else collections)
+        unknown = wanted.difference(cls.COLLECTIONS)
+        if unknown:
+            raise KeyError(min(unknown))
+        _finish_swap(directory)
         store = cls()
-        for name in cls.COLLECTIONS:
+        store._missing = frozenset(cls.COLLECTIONS) - wanted
+        for name in cls.COLLECTIONS:  # tweets before shorturl, as saved
             path = directory / f"{name}.jsonl"
-            if path.exists():
+            if name in wanted and path.exists():
                 store.import_collection(name, path)
         return store
 
     # convenience used all over the test suite
     def all_tweets(self) -> Iterable[Tweet]:
         return (self.tweets[i] for i in sorted(self.tweets))
+
+
+_FILES = tuple(f"{name}.jsonl" for name in Store.COLLECTIONS)
+
+
+def _siblings(directory: Path) -> tuple[Path, Path]:
+    """(the directory a save writes into, the one it moves the old store to)"""
+    return directory.with_name(directory.name + ".tmp"), directory.with_name(
+        directory.name + ".old"
+    )
+
+
+def _finish_swap(directory: Path) -> None:
+    """Complete a save that died after moving the old store aside.
+
+    Between the two renames only `.tmp/` and `.old/` exist, and `.tmp/` is
+    already complete; after them, `.old/` only remains to be removed. A
+    `.tmp/` without an `.old/` is a save that died before its swap, which
+    leaves the directory as it was.
+    """
+    tmp, old = _siblings(directory)
+    if not old.exists():
+        return
+    if not directory.exists():
+        os.replace(tmp, directory)
+    shutil.rmtree(old)

@@ -5,8 +5,10 @@ import os
 
 import pytest
 
+from langcrawl import cli
 from langcrawl.cli import RunManifest, main
 from langcrawl.simnet import WorldConfig
+from langcrawl.store import Store
 
 
 def world_config(tmp_path, **kw):
@@ -208,6 +210,41 @@ def test_report_on_empty_store_writes_headers(tmp_path, capsys):
     capsys.readouterr()
     assert (store / "report" / "threads.csv").read_text() == "length,threads\n"
     assert (store / "report" / "coverage.csv").read_text() == "user,stored,truth,pct\n"
+
+
+READ_ONLY_COMMANDS = {
+    # command: the collections it reads
+    ("mine",): {"users", "tweets", "follow", "followscans", "memberships", "favorites", "crawlstate"},
+    ("report",): {"tweets", "classes"},
+    ("export", "users"): {"users"},
+    ("export", "shorturl"): {"shorturl"},
+}
+
+
+@pytest.mark.parametrize("command", sorted(READ_ONLY_COMMANDS))
+def test_read_only_commands_load_only_what_they_read(crawled, capsys, monkeypatch, command):
+    tmp_path, _, _ = crawled
+    run = tmp_path / "run"
+    argv = [*command, "--store", str(run)]
+    read = set()
+    import_collection = Store.import_collection
+
+    def spy(self, name, path):
+        read.add(name)
+        return import_collection(self, name, path)
+
+    def outputs():
+        assert main(argv) == 0
+        files = {p.name: p.read_bytes() for p in sorted((run / "report").iterdir())}
+        return capsys.readouterr().out, files
+
+    monkeypatch.setattr(Store, "import_collection", spy)
+    partial = outputs()
+    assert read == READ_ONLY_COMMANDS[command]
+    monkeypatch.setattr(cli, "_load_store", lambda d, collections=None: Store.load(run / "store"))
+    read.clear()
+    assert outputs() == partial
+    assert read == set(Store.COLLECTIONS)
 
 
 def test_export_ids_only(crawled, capsys):

@@ -1,8 +1,11 @@
+import dataclasses
+import enum
 import json
 
 import pytest
 from hypothesis import given, strategies as st
 
+from langcrawl import model
 from langcrawl.model import (
     MAX_ID,
     CrawlState,
@@ -137,3 +140,39 @@ def test_crawl_state_and_favorite_round_trip():
 def test_user_class_values_round_trip():
     for c in UserClass:
         assert UserClass(c.value) is c
+
+
+RECORD_CLASSES = [
+    c for c in vars(model).values() if dataclasses.is_dataclass(c) and isinstance(c, type)
+]
+
+
+def reference_record(obj) -> dict:
+    """The JSON-lines mapping, spelled out by reflection on every call."""
+
+    def plain(v):
+        if isinstance(v, enum.Enum):
+            return v.value
+        if isinstance(v, tuple):
+            return [plain(x) for x in v]
+        return v
+
+    return {f.name: plain(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
+
+
+@pytest.mark.parametrize("cls", RECORD_CLASSES, ids=lambda c: c.__name__)
+@given(data=st.data())
+def test_record_codecs_match_the_reflective_mapping(cls, data):
+    # every field drawn from its type; a NaN rate would not equal itself
+    obj = data.draw(
+        st.builds(
+            cls,
+            **{
+                f.name: st.floats(allow_nan=False) if f.type == "float" else ...
+                for f in dataclasses.fields(cls)
+            },
+        )
+    )
+    rec = to_record(obj)
+    assert rec == reference_record(obj) and list(rec) == list(reference_record(obj))
+    assert from_record(cls, json.loads(json.dumps(rec))) == obj

@@ -348,9 +348,8 @@ ERROR_CASES = {
 }
 
 
-@pytest.mark.parametrize("case", sorted(ERROR_CASES))
-def test_transient_error_requeues_user_for_next_window(case):
-    method, counted, loops, hour, cfg_kw = ERROR_CASES[case]
+def tracked_world() -> tuple[World, Store]:
+    """20 users at 10 tweets a day, all tracked."""
     w = World(
         WorldConfig(
             seed=31,
@@ -365,6 +364,13 @@ def test_transient_error_requeues_user_for_next_window(case):
     store = Store()
     for u in w.users:
         store.set_class(u, UserClass.TRACKED, w.now)
+    return w, store
+
+
+@pytest.mark.parametrize("case", sorted(ERROR_CASES))
+def test_transient_error_requeues_user_for_next_window(case):
+    method, counted, loops, hour, cfg_kw = ERROR_CASES[case]
+    w, store = tracked_world()
     windows = dict(
         min_staleness=DAY,
         target_batch=10**9,
@@ -388,4 +394,20 @@ def test_transient_error_requeues_user_for_next_window(case):
     assert min(later) >= (failed_at // 900 + 1) * 900
     peers = [len(v) for v in api.starts.values()]
     assert peers, "no other target was visited"
+    assert min(peers) - 1 <= len(visits) <= max(peers) + 1, (len(visits), peers)
+
+
+def test_roundrobin_keeps_user_whose_timeline_request_failed():
+    w, store = tracked_world()
+    cfg = SchedulerConfig(
+        loops=("tweets",), drain=False, planner="roundrobin", min_staleness=DAY
+    )
+    api = FailOnceAfter(w, "user_timeline", w.now, "user_timeline")
+    crawler = Crawler(api, store, RateLimiter(), SimClock(w), cfg)
+    crawler.run(w.now + 6 * HOURS)
+
+    assert api.failed is not None, "no request failed"
+    visits = api.starts.pop(api.failed[0])
+    peers = [len(v) for v in api.starts.values()]
+    # back at the end of the cycle, so visited as often as everyone else
     assert min(peers) - 1 <= len(visits) <= max(peers) + 1, (len(visits), peers)

@@ -1,5 +1,9 @@
 import dataclasses
 import json
+import os
+import shutil
+
+import pytest
 
 from langcrawl.model import (
     CrawlState,
@@ -197,6 +201,131 @@ def test_save_is_deterministic(tmp_path):
     populated_store().save(b)
     for fa in sorted(a.iterdir()):
         assert fa.read_bytes() == (b / fa.name).read_bytes()
+
+
+def saved_files(directory) -> dict[str, bytes]:
+    return {p.name: p.read_bytes() for p in sorted(directory.iterdir())}
+
+
+def newer_store() -> Store:
+    s = populated_store()
+    s.put_tweet(tw(13, author=2))
+    s.set_class(1, UserClass.STOPPED, 70)
+    return s
+
+
+def test_partly_loaded_store_refuses_save_and_other_exports(tmp_path):
+    d = tmp_path / "store"
+    populated_store().save(d)
+    before = saved_files(d)
+    part = Store.load(d, collections=("tweets", "classes"))
+    assert part.tweets == populated_store().tweets
+    assert part.user_class(1) is UserClass.TARGET
+    assert not part.snapshots and not part.crawl_states
+    assert part.export_collection("tweets", tmp_path / "tweets.jsonl") == 2
+    with pytest.raises(RuntimeError):
+        part.export_collection("users", tmp_path / "users.jsonl")
+    for target in (d, tmp_path / "elsewhere"):
+        with pytest.raises(RuntimeError):
+            part.save(target)
+    assert saved_files(d) == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["store", "tweets.jsonl"]
+    with pytest.raises(KeyError):
+        Store.load(d, collections=("tweets", "nonsense"))
+
+
+class Died(Exception):
+    """The process died here."""
+
+
+@pytest.mark.parametrize("k", range(len(Store.COLLECTIONS) + 1))
+def test_save_that_dies_after_k_files_leaves_previous_store(tmp_path, monkeypatch, k):
+    d = tmp_path / "store"
+    populated_store().save(d)
+    before = saved_files(d)
+    written = 0
+    export = Store.export_collection
+
+    def dying(self, name, path, ids_only=False):
+        nonlocal written
+        if written == k:
+            raise Died
+        n = export(self, name, path, ids_only)
+        written += 1
+        if written == k:
+            raise Died
+        return n
+
+    monkeypatch.setattr(Store, "export_collection", dying)
+    with pytest.raises(Died):
+        newer_store().save(d)
+    monkeypatch.undo()
+    assert written == k
+
+    Store.load(d).save(tmp_path / "reloaded")
+    assert saved_files(tmp_path / "reloaded") == before
+    assert saved_files(d) == before
+    newer_store().save(d)  # the stray store.tmp/ of the dead save is no obstacle
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["reloaded", "store"]
+    assert Store.load(d).tweets == newer_store().tweets
+
+
+@pytest.mark.parametrize(
+    "step, survivor",
+    [
+        (0, "previous"),  # moving the old store aside: store.tmp/ is left over
+        (1, "newer"),  # moving the new store in: load finishes the swap
+        (2, "newer"),  # removing the old store: load removes it
+    ],
+)
+def test_save_that_dies_in_its_swap_leaves_one_whole_store(tmp_path, monkeypatch, step, survivor):
+    d = tmp_path / "store"
+    populated_store().save(d)
+    want = {"previous": saved_files(d)}
+    newer_store().save(tmp_path / "newer")
+    want["newer"] = saved_files(tmp_path / "newer")
+    shutil.rmtree(tmp_path / "newer")
+    calls = 0
+
+    def dies_at_step(fn):
+        def wrapped(*args, **kwargs):
+            nonlocal calls
+            calls += 1
+            if calls == step + 1:
+                raise Died
+            return fn(*args, **kwargs)
+
+        return wrapped
+
+    monkeypatch.setattr(os, "replace", dies_at_step(os.replace))
+    monkeypatch.setattr(shutil, "rmtree", dies_at_step(shutil.rmtree))
+    with pytest.raises(Died):
+        newer_store().save(d)
+    monkeypatch.undo()
+
+    Store.load(d).save(tmp_path / "reloaded")
+    assert saved_files(tmp_path / "reloaded") == want[survivor]
+    leftover = {"store.tmp"} if step == 0 else set()
+    assert {p.name for p in tmp_path.iterdir()} == {"store", "reloaded"} | leftover
+
+
+def test_save_refuses_a_directory_that_is_not_a_store(tmp_path):
+    (tmp_path / "notes.txt").write_text("keep")
+    with pytest.raises(FileExistsError):
+        populated_store().save(tmp_path)
+    assert [p.name for p in tmp_path.iterdir()] == ["notes.txt"]
+
+
+@pytest.mark.parametrize("order", [(12, 11), (11, 11)])
+def test_load_rejects_tweets_out_of_id_order(tmp_path, order):
+    s = Store()
+    for i in set(order):
+        s.put_tweet(tw(i))
+    s.save(tmp_path / "store")
+    lines = {json.loads(x)["id"]: x for x in (tmp_path / "store" / "tweets.jsonl").read_text().splitlines()}
+    (tmp_path / "store" / "tweets.jsonl").write_text("".join(lines[i] + "\n" for i in order))
+    with pytest.raises(ValueError):
+        Store.load(tmp_path / "store")
 
 
 def test_export_collection_ids_only(tmp_path):
