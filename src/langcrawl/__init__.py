@@ -9,7 +9,7 @@ vectors, and a deterministic simulated network to run it all against.
 from .apiface import Budget, Endpoint, Granted, RateLimiter, RetryAfter
 from .model import Tweet, UserClass, UserSnapshot, validate_tweet
 from .store import Store
-from .vectorize import FEATURE_FIELDS, Vectorizer, assemble_vector
+from .vectorize import FEATURE_FIELDS, Vectorizer
 
 __version__ = "0.1.0"
 
@@ -25,7 +25,6 @@ __all__ = [
     "UserClass",
     "UserSnapshot",
     "Vectorizer",
-    "assemble_vector",
     "validate_tweet",
     "__version__",
 ]

@@ -8,9 +8,7 @@ multiples of 900 since the epoch, matching how platform quotas reset.
 from __future__ import annotations
 
 import enum
-import json
-from dataclasses import dataclass, replace
-from pathlib import Path
+from dataclasses import dataclass
 from typing import Iterable, Protocol, Union
 
 from .model import (
@@ -75,7 +73,6 @@ class Budget:
     endpoint: Endpoint
     max_requests: int
     page_size: int
-    window: int = WINDOW
 
 
 # max_requests per 900 s window and the page size each endpoint serves.
@@ -98,21 +95,6 @@ DEFAULT_BUDGETS: dict[Endpoint, Budget] = {
         Budget(Endpoint.STREAM_FILTER, 5, 0),
     )
 }
-
-
-def load_budgets(path: str | Path) -> dict[Endpoint, Budget]:
-    """Read {endpoint: {max_requests, page_size}} JSON over the defaults."""
-    budgets = dict(DEFAULT_BUDGETS)
-    with open(path, encoding="utf-8") as fh:
-        raw = json.load(fh)
-    for name, cfg in raw.items():
-        e = Endpoint(name)
-        budgets[e] = replace(
-            budgets[e],
-            max_requests=int(cfg.get("max_requests", budgets[e].max_requests)),
-            page_size=int(cfg.get("page_size", budgets[e].page_size)),
-        )
-    return budgets
 
 
 @dataclass(frozen=True, slots=True)
@@ -142,14 +124,14 @@ class RateLimiter:
 
     def acquire(self, e: Endpoint, now: Timestamp) -> Granted | RetryAfter:
         budget = self.budgets[e]
-        index = now // budget.window
+        index = now // WINDOW
         window, used = self._used.get(e, (index, 0))
         if window != index:
             used = 0
         if used < budget.max_requests:
             self._used[e] = (index, used + 1)
             return GRANTED
-        return RetryAfter(duration=(index + 1) * budget.window - now)
+        return RetryAfter(duration=(index + 1) * WINDOW - now)
 
 
 class Gone:

@@ -12,7 +12,6 @@ applies transitions to the store.
 from __future__ import annotations
 
 import enum
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -66,16 +65,6 @@ class ClassifierConfig:
     retweet_seed_count: int = 10
     script_ranges: tuple[tuple[int, int], ...] = lex.TARGET_SCRIPT_RANGES
     common_names_file: str = ""  # empty -> packaged default lexicon
-
-    def to_json(self) -> str:
-        return json.dumps(self.__dict__, ensure_ascii=False, sort_keys=True, indent=2)
-
-    @classmethod
-    def from_json(cls, text: str) -> "ClassifierConfig":
-        raw = json.loads(text)
-        if "script_ranges" in raw:
-            raw["script_ranges"] = tuple(tuple(r) for r in raw["script_ranges"])
-        return cls(**raw)
 
 
 def load_common_names(cfg: ClassifierConfig) -> frozenset[str]:

@@ -36,7 +36,7 @@ from .graphmine import (
     write_degree_csv,
     write_edges,
 )
-from .model import UserClass
+from .model import UserClass, load_config
 from .sched import Crawler, SchedulerConfig, SimClock
 from .simnet import DAY, World, WorldConfig
 from .store import Store, dumps
@@ -62,14 +62,9 @@ class RunManifest:
 
     @classmethod
     def load(cls, path: str | Path) -> "RunManifest":
-        path = Path(path)
-        raw = json.loads(path.read_text(encoding="utf-8"))
-        unknown = set(raw) - {f.name for f in dataclasses.fields(cls)}
-        if unknown:
-            raise ManifestError(f"unknown manifest fields: {sorted(unknown)}")
-        m = cls(**raw)
+        m = load_config(cls, path)
         # relative paths mean "next to the manifest file"
-        base = path.parent
+        base = Path(path).parent
         resolve = lambda p: str((base / p) if not Path(p).is_absolute() else Path(p))
         m = dataclasses.replace(
             m,
@@ -140,7 +135,7 @@ def _store_now(store: Store) -> int:
 
 
 def cmd_simnet_generate(args: argparse.Namespace) -> int:
-    cfg = WorldConfig.from_json(Path(args.config).read_text(encoding="utf-8"))
+    cfg = load_config(WorldConfig, args.config)
     if args.seed is not None:
         cfg = dataclasses.replace(cfg, seed=args.seed)
     world = World(cfg)
@@ -163,16 +158,16 @@ def cmd_crawl(args: argparse.Namespace) -> int:
         manifest = dataclasses.replace(manifest, horizon_days=args.horizon_days)
         manifest.validate()
 
-    wcfg = WorldConfig.from_json(Path(manifest.world_config).read_text(encoding="utf-8"))
+    wcfg = load_config(WorldConfig, manifest.world_config)
     if manifest.seed is not None:
         wcfg = dataclasses.replace(wcfg, seed=manifest.seed)
     scfg = (
-        SchedulerConfig.from_json(Path(manifest.scheduler_config).read_text(encoding="utf-8"))
+        load_config(SchedulerConfig, manifest.scheduler_config)
         if manifest.scheduler_config
         else SchedulerConfig()
     )
     ccfg = (
-        ClassifierConfig.from_json(Path(manifest.classifier_config).read_text(encoding="utf-8"))
+        load_config(ClassifierConfig, manifest.classifier_config)
         if manifest.classifier_config
         else ClassifierConfig()
     )
@@ -212,11 +207,7 @@ def cmd_crawl(args: argparse.Namespace) -> int:
 def cmd_classify(args: argparse.Namespace) -> int:
     store = _load_store(args.store)
     loaded = store.mutations
-    ccfg = (
-        ClassifierConfig.from_json(Path(args.config).read_text(encoding="utf-8"))
-        if args.config
-        else ClassifierConfig()
-    )
+    ccfg = load_config(ClassifierConfig, args.config) if args.config else ClassifierConfig()
     names = load_common_names(ccfg)
     now = args.at if args.at is not None else _store_now(store)
 

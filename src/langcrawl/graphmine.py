@@ -179,10 +179,6 @@ def degree_distributions(
     return hist(ins), hist(outs), hist(both)
 
 
-class CycleDetected(ValueError):
-    pass
-
-
 def thread_lengths(
     tweets: Iterable[Tweet], root_filter: Callable[[Tweet], bool] | None = None
 ) -> dict[TweetId, int]:

@@ -8,9 +8,11 @@ which the paging and interval code relies on throughout.
 from __future__ import annotations
 
 import enum
+import json
 from dataclasses import dataclass, fields
 from functools import cache
 from operator import attrgetter, itemgetter
+from pathlib import Path
 from typing import Any, Callable, get_args, get_origin, get_type_hints
 
 UserId = int
@@ -316,3 +318,21 @@ def to_record(obj: Any) -> dict:
 
 def from_record(cls: type, rec: dict) -> Any:
     return _codecs(cls)[1](rec)
+
+
+def load_config(cls: type, path: str | Path) -> Any:
+    """The config dataclass `cls` from a JSON object of its field names.
+
+    A field left out keeps its default; a key that names no field is
+    refused. Tuple fields are read from JSON lists, nested ones too.
+    """
+    raw = json.loads(Path(path).read_text(encoding="utf-8"))
+    unknown = set(raw) - {f.name for f in fields(cls)}
+    if unknown:
+        raise ValueError(f"unknown {cls.__name__} fields: {sorted(unknown)}")
+    hints = get_type_hints(cls)
+    for name, value in raw.items():
+        codec = _field_codec(hints[name])
+        if codec is not None:
+            raw[name] = codec[1](value)
+    return cls(**raw)

@@ -28,7 +28,6 @@ the store's crawl states.
 from __future__ import annotations
 
 import heapq
-import json
 from collections import deque
 from dataclasses import dataclass, field, replace
 from functools import partial
@@ -72,24 +71,25 @@ DAY = 86400
 
 CRAWLABLE = (UserClass.TRACKED, UserClass.TARGET)
 
+FAVORITES_KNOWN_STOP = 191  # strictly more than 190 known likes end a favorites walk
+TRENDS_PERIOD = 900  # seconds between two polls of one place's trends
+GONE_RETRY_AFTER = 7 * DAY  # a reference that failed lookup is retried once, this much later
+CLASSIFY_PERIOD = DAY
+STREAM_PERIOD = 900  # seconds between two stream reads
+STREAM_READ_SIZE = 5000  # most tweets one stream read takes
+RATE_EMA_ALPHA = 0.3  # weight of the latest visit in a user's tweet-rate estimate
+
 
 @dataclass(frozen=True)
 class SchedulerConfig:
     follow_recrawl_window: int = 30 * DAY
     profile_refresh_window: int = 14 * DAY
-    favorites_known_stop: int = 191  # strictly more than 190 known likes
     target_batch: int = 1000  # expected-tweets queue visits at ~this accrual
-    trends_period: int = 900
     # pacing knobs with no externally pinned value; defaults keep a small
     # crawl healthy without starving any loop
     min_staleness: int = DAY
     favorites_recrawl_window: int = 7 * DAY
     lists_recrawl_window: int = 30 * DAY
-    gone_retry_after: int = 7 * DAY
-    classify_period: int = DAY
-    stream_period: int = 900
-    stream_read_size: int = 5000
-    rate_ema_alpha: float = 0.3
     planner: str = "priority"  # "priority" (dual queue) or "roundrobin"
     loops: tuple[str, ...] = (
         "tweets",
@@ -105,20 +105,6 @@ class SchedulerConfig:
     keywords: tuple[str, ...] = ()  # empty -> target-language stopword lexicon
     places: tuple[str, ...] = ("Worldwide",)
     drain: bool = True  # sweep every crawlable user once after the horizon
-
-    def to_json(self) -> str:
-        rec = {
-            k: (list(v) if isinstance(v, tuple) else v) for k, v in self.__dict__.items()
-        }
-        return json.dumps(rec, ensure_ascii=False, sort_keys=True, indent=2)
-
-    @classmethod
-    def from_json(cls_, text: str) -> "SchedulerConfig":
-        raw = json.loads(text)
-        for name in ("loops", "keywords", "places"):
-            if name in raw:
-                raw[name] = tuple(raw[name])
-        return cls_(**raw)
 
 
 def estimate_rate(
@@ -375,7 +361,7 @@ class Crawler:
         )
         self._member_queue: deque[ListId] = deque()
         self._member_cursor = None
-        self._member_scanned: dict[ListId, Timestamp] = {}
+        self._lists_seen: set[ListId] = set()  # every list ever queued for members
         self._member_retry: deque[tuple[Timestamp, ListId]] = deque()
         self._list_phase = 0
 
@@ -623,7 +609,7 @@ class Crawler:
         else:
             staleness_days = max(now - prev_crawl, 1) / DAY
             observed = walk.stored / staleness_days
-            a = self.cfg.rate_ema_alpha
+            a = RATE_EMA_ALPHA
             est = a * observed + (1 - a) * state.est_rate
         state = replace(
             state,
@@ -638,6 +624,9 @@ class Crawler:
         self.store.put_crawl_state(state)
         self._stale.push(walk.user)
         self._push_expected(walk.user, state)
+        if walk.fetched_profile:
+            # the new stamp supersedes the user's profiles-queue entry
+            self._scans["profiles"].queue.push(walk.user)
 
     # -- lookups -------------------------------------------------------------------
 
@@ -670,6 +659,14 @@ class Crawler:
             self.track_user(candidate, self.clock.now())
             del self._evidence[candidate]
 
+    def _resolve(self, tid: TweetId, tweet: Tweet) -> None:
+        """Settle the pending reference to tid, whose tweet is now stored."""
+        ref = self._pending.pop(tid)
+        if ref.gone_at is not None:
+            self.store.discard_gone_ref(ref.author, tid)
+        for referencer, kind in sorted(ref.referencers):
+            self._note_evidence(tweet, referencer, kind)
+
     def _step_lookup(self) -> bool:
         now = self.clock.now()
         while self._gone_retry and self._gone_retry[0][0] <= now:
@@ -687,12 +684,7 @@ class Crawler:
                 continue
             stored = self.store.get_tweet(tid)
             if stored is not None:
-                # a timeline walk got there first; no request needed
-                if ref.gone_at is not None:
-                    self.store.discard_gone_ref(ref.author, tid)
-                for referencer, kind in sorted(ref.referencers):
-                    self._note_evidence(stored, referencer, kind)
-                del self._pending[tid]
+                self._resolve(tid, stored)  # a timeline walk got there first
                 continue
             batch.append(tid)
         if not batch:
@@ -713,16 +705,12 @@ class Crawler:
             if isinstance(result, LookupHit):
                 self.store.put_tweet(result.tweet)
                 self.store.put_snapshot(result.author)
-                if ref.gone_at is not None:
-                    self.store.discard_gone_ref(ref.author, tid)
-                for referencer, kind in sorted(ref.referencers):
-                    self._note_evidence(result.tweet, referencer, kind)
-                del self._pending[tid]
+                self._resolve(tid, result.tweet)
             elif ref.gone_at is None:
                 # first failure: record now, retry once later
                 ref.gone_at = now
                 self.store.add_gone_ref(ref.author, tid)
-                heapq.heappush(self._gone_retry, (now + self.cfg.gone_retry_after, tid))
+                heapq.heappush(self._gone_retry, (now + GONE_RETRY_AFTER, tid))
             else:
                 del self._pending[tid]  # second failure is final
         return True
@@ -790,7 +778,7 @@ class Crawler:
         # until enough known history proves the rest was covered before
         if (
             len(page) < self._page(Endpoint.FAVORITES_LIST)
-            or walk.known >= self.cfg.favorites_known_stop
+            or walk.known >= FAVORITES_KNOWN_STOP
         ):
             return None
         return min(r.tweet for r in page) - 1
@@ -807,8 +795,8 @@ class Crawler:
                 self.store.put_subscription(
                     ListSubscription(list_id=record.id, subscriber=walk.user, observed_at=now)
                 )
-            if record.id not in self._member_scanned:
-                self._member_scanned[record.id] = -1
+            if record.id not in self._lists_seen:
+                self._lists_seen.add(record.id)
                 self._member_queue.append(record.id)
 
     def _commit_lists(self, scan_at: dict[UserId, Timestamp], walk: _ScanWalk) -> None:
@@ -860,7 +848,6 @@ class Crawler:
         self._member_cursor = nxt
         if nxt is None:
             self._member_queue.popleft()
-            self._member_scanned[list_id] = now
         return True
 
     # -- trends / stream / classify ----------------------------------------------------------
@@ -869,7 +856,7 @@ class Crawler:
         now = self.clock.now()
         for place in self.cfg.places:
             last = self._last_trend.get(place)
-            if last is not None and now - last < self.cfg.trends_period:
+            if last is not None and now - last < TRENDS_PERIOD:
                 continue
             status, snap = self._request(
                 Endpoint.TRENDS_PLACE, place, lambda: self.api.trends_place(place)
@@ -887,14 +874,12 @@ class Crawler:
 
     def _step_stream(self) -> bool:
         now = self.clock.now()
-        if self._last_stream is not None and now - self._last_stream < self.cfg.stream_period:
-            return False
-        if self.cfg.stream_read_size <= 0:
+        if self._last_stream is not None and now - self._last_stream < STREAM_PERIOD:
             return False
         status, tweets = self._request(
             Endpoint.STREAM_FILTER,
             len(self.keywords),
-            lambda: self.api.stream_filter(self.keywords, self.cfg.stream_read_size),
+            lambda: self.api.stream_filter(self.keywords, STREAM_READ_SIZE),
         )
         if status == _BLOCKED:
             return False
@@ -909,10 +894,7 @@ class Crawler:
 
     def _step_classify(self) -> bool:
         now = self.clock.now()
-        if (
-            self._last_classify is not None
-            and now - self._last_classify < self.cfg.classify_period
-        ):
+        if self._last_classify is not None and now - self._last_classify < CLASSIFY_PERIOD:
             return False
         self._run_classification()
         return True
@@ -945,16 +927,11 @@ class Crawler:
         """Classify, sweep the timeline of every crawlable user once, flush
         pending lookups; repeat until classification stops promoting anyone
         new, so nobody ends up tracked but unswept."""
-        for qname, walk in self._walks.items():
+        for qname in self._walks:
             # a walk suspended mid-flight holds uncommitted pages; finish it
             # so its user is eligible for the sweep below
-            while walk is not None:
-                status = self._walk_step(walk)
-                if status == "done":
-                    self._walking.discard(walk.user)
-                    self._walks[qname] = None
-                    walk = None
-                elif status == _BLOCKED:
+            while self._walks[qname] is not None:
+                if not self._step_tweets(qname):
                     self.clock.sleep_until(_next_window(self.clock.now()))
         swept: set[UserId] = set()
         while True:

@@ -16,6 +16,7 @@ import bisect
 import heapq
 import json
 import random
+from collections import Counter, deque
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Iterable
@@ -44,6 +45,7 @@ from .model import (
     TweetId,
     UserId,
     UserSnapshot,
+    to_record,
 )
 
 DAY = 86400
@@ -92,18 +94,8 @@ class WorldConfig:
     places: tuple[str, ...] = ("Worldwide",)
 
     def to_json(self) -> str:
-        rec = {
-            k: (list(v) if isinstance(v, tuple) else v) for k, v in self.__dict__.items()
-        }
-        return json.dumps(rec, ensure_ascii=False, sort_keys=True, indent=2)
-
-    @classmethod
-    def from_json(cls, text: str) -> "WorldConfig":
-        raw = json.loads(text)
-        for name in ("list_size", "places"):
-            if name in raw:
-                raw[name] = tuple(raw[name])
-        return cls(**raw)
+        """The JSON object that model.load_config reads back."""
+        return json.dumps(to_record(self), ensure_ascii=False, sort_keys=True, indent=2)
 
 
 def exact_partition(n: int, fractions: dict[str, float]) -> dict[str, int]:
@@ -320,7 +312,9 @@ class World:
         self.frozen = False  # when set, advance moves the clock only
         self._next_tweet_id = 1
         self._events: list[tuple[float, UserId]] = []
-        self._recent_tags: list[tuple[Timestamp, str]] = []
+        # hashtags of the last day, oldest first, and their counts
+        self._recent_tags: deque[tuple[Timestamp, str]] = deque()
+        self._tag_counts: Counter = Counter()
         self._stream_pos = 0
         self._next_day_tick = cfg.start_time + DAY
         self._churn_rng = random.Random(f"{cfg.seed}:churn")
@@ -652,6 +646,7 @@ class World:
         self.tweet_log.append(tweet)
         for tag in hashtags:
             self._recent_tags.append((self.now, tag))
+        self._tag_counts.update(hashtags)
         return tweet
 
     def _compose_text(self, rng: random.Random, lang: str) -> list[str]:
@@ -909,11 +904,14 @@ class World:
         if place not in self.cfg.places:
             self._log(Endpoint.TRENDS_PLACE, place, "unknown")
             raise PlaceUnknown(place)
+        # tweets are made in clock order, so the day's oldest tags lead
         horizon = self.now - DAY
-        self._recent_tags = [(t, tag) for t, tag in self._recent_tags if t >= horizon]
-        counts: dict[str, int] = {}
-        for _, tag in self._recent_tags:
-            counts[tag] = counts.get(tag, 0) + 1
+        recent, counts = self._recent_tags, self._tag_counts
+        while recent and recent[0][0] < horizon:
+            tag = recent.popleft()[1]
+            counts[tag] -= 1
+            if not counts[tag]:
+                del counts[tag]
         top = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))[:10]
         trends = tuple(f"#{tag}" for tag, _ in top) or ("#welcome",)
         self._log(Endpoint.TRENDS_PLACE, place, f"ok:{len(trends)}")
@@ -965,8 +963,3 @@ class World:
                     )
                     + "\n"
                 )
-
-
-def generate(cfg: WorldConfig) -> World:
-    """Build a fresh world for cfg. Same config (and seed) twice, same world."""
-    return World(cfg)

@@ -76,7 +76,6 @@ def dumps(rec: dict) -> str:
 class Store:
     def __init__(self) -> None:
         self.snapshots: dict[UserId, list[UserSnapshot]] = defaultdict(list)
-        self.screen_name_index: dict[str, UserId] = {}
         self.tweets: dict[TweetId, Tweet] = {}
         self._author_tweets: dict[UserId, list[TweetId]] = defaultdict(list)
         self._author_langs: dict[UserId, Counter] = defaultdict(Counter)
@@ -100,20 +99,10 @@ class Store:
     # -- users ---------------------------------------------------------------
 
     def put_snapshot(self, s: UserSnapshot) -> PutSnapshotResult:
-        """Append a profile observation unless only tweet_count moved.
-
-        Keeps the lowercase screen-name index injective over latest snapshots:
-        when a new snapshot claims a name another user held, the older claimant
-        is assumed stale and loses its index entry.
-        """
+        """Append a profile observation unless only tweet_count moved."""
         history = self.snapshots[s.id]
         if history and _snapshot_core(history[-1]) == _snapshot_core(s):
             return PutSnapshotResult.SKIPPED_TWEET_COUNT_ONLY
-        if history:
-            old_key = history[-1].screen_name.lower()
-            if self.screen_name_index.get(old_key) == s.id:
-                del self.screen_name_index[old_key]
-        self.screen_name_index[s.screen_name.lower()] = s.id
         history.append(s)
         self.mutations += 1
         return PutSnapshotResult.STORED
@@ -128,9 +117,6 @@ class Store:
             if s.observed_at <= t:
                 best = s
         return best
-
-    def lookup_screen_name(self, name: str) -> UserId | None:
-        return self.screen_name_index.get(name.lower())
 
     # -- tweets ----------------------------------------------------------------
 
@@ -300,7 +286,10 @@ class Store:
                     for u in sorted(self.snapshots)
                     for s in self.snapshots[u]
                 ),
-                lambda rec: self._raw_snapshot(model.from_record(UserSnapshot, rec)),
+                # history replays verbatim, bypassing the dedup rule
+                lambda rec: self.snapshots[rec["id"]].append(
+                    model.from_record(UserSnapshot, rec)
+                ),
                 lambda rec: {"id": rec["id"], "observed_at": rec["observed_at"]},
             ),
             "tweets": (
@@ -408,11 +397,6 @@ class Store:
         "crawlstate",
         "gonerefs",
     )
-
-    def _raw_snapshot(self, s: UserSnapshot) -> None:
-        # import path: replay history verbatim, bypassing the dedup rule
-        self.snapshots[s.id].append(s)
-        self.screen_name_index[s.screen_name.lower()] = s.id
 
     def _import_tweet(self, t: Tweet) -> None:
         # import path: save writes tweets in ascending id order, so each

@@ -38,6 +38,7 @@ from .model import CrawlState, Timestamp, Tweet, TweetId, UserClass, UserId, Use
 from .store import Store
 
 DAY = 86400
+TARGET_LANG = "el"  # the language seen_greek_total counts
 TOP_K = 10
 LANG_TOP_K = 5
 LAST_MONTH_SPAN = 30 * DAY
@@ -232,38 +233,9 @@ def profile_features(snapshot: UserSnapshot | None, klass: UserClass) -> dict:
     Character-class counts run on the raw strings, no normalization. A user
     with no snapshot yet gets missing markers, not empty-string counts.
     """
-    out: dict = {f: None for f in _PROFILE_FIELDS}
-    out.update(
-        screen_name_len=None,
-        screen_name_upper=None,
-        screen_name_lower=None,
-        screen_name_digit=None,
-        screen_name_alpha=None,
-        name_len=None,
-        name_upper=None,
-        name_lower=None,
-        name_digit=None,
-        name_alpha=None,
-        name_greek=None,
-        fr_fo_ratio=None,
-        has_location=None,
-        lang=None,
-        user_url=None,
-        bio_words=None,
-        bio_upper_words=None,
-        bio_lower_words=None,
-        bio_punctuation_chars=None,
-        bio_digit_chars=None,
-        bio_alpha_chars=None,
-        bio_upper_chars=None,
-        bio_lower_chars=None,
-        bio_greek_chars=None,
-        bio_total_chars=None,
-    )
-    out["dead"] = klass is UserClass.DEAD
-    out["suspended"] = klass is UserClass.SUSPENDED
+    out: dict = {"dead": klass is UserClass.DEAD, "suspended": klass is UserClass.SUSPENDED}
     if snapshot is None:
-        return out
+        return {f: out.get(f) for f in FEATURE_FIELDS[_PROFILE_SLICE]}
 
     for f in _PROFILE_FIELDS:
         out[f] = getattr(snapshot, f)
@@ -271,20 +243,12 @@ def profile_features(snapshot: UserSnapshot | None, klass: UserClass) -> dict:
     out["user_url"] = snapshot.profile_url
     out["has_location"] = bool(snapshot.location)
 
-    sn = snapshot.screen_name
-    out["screen_name_len"] = len(sn)
-    out["screen_name_upper"] = sum(1 for ch in sn if ch.isupper())
-    out["screen_name_lower"] = sum(1 for ch in sn if ch.islower())
-    out["screen_name_digit"] = sum(1 for ch in sn if ch.isdigit())
-    out["screen_name_alpha"] = sum(1 for ch in sn if ch.isalpha())
-
-    nm = snapshot.name
-    out["name_len"] = len(nm)
-    out["name_upper"] = sum(1 for ch in nm if ch.isupper())
-    out["name_lower"] = sum(1 for ch in nm if ch.islower())
-    out["name_digit"] = sum(1 for ch in nm if ch.isdigit())
-    out["name_alpha"] = sum(1 for ch in nm if ch.isalpha())
-    out["name_greek"] = count_in_ranges(nm, TARGET_SCRIPT_RANGES)
+    for prefix, text in (("screen_name", snapshot.screen_name), ("name", snapshot.name)):
+        chars = _char_classes(Counter(text))
+        out[f"{prefix}_len"] = len(text)
+        for cls in ("upper", "lower", "digit", "alpha"):
+            out[f"{prefix}_{cls}"] = chars[cls]
+    out["name_greek"] = count_in_ranges(snapshot.name, TARGET_SCRIPT_RANGES)
 
     out["fr_fo_ratio"] = _ratio(snapshot.friends_count, snapshot.followers_count)
 
@@ -307,7 +271,6 @@ def activity_features(
     gone: int,
     created_at: Timestamp | None,
     as_of: Timestamp,
-    target_lang: str = "el",
 ) -> dict:
     """Temporal shape of the account.
 
@@ -329,6 +292,7 @@ def activity_features(
     rt_gaps = gaps(rts)
     reply_gaps = gaps(replies)
 
+    sources = Counter(t.source_client for t in tweets)
     per_day = Counter(ts // DAY for ts in times)
     per_hour = Counter(_hour(ts) for ts in times)
     per_weekday = Counter(_weekday(ts) for ts in times)
@@ -345,7 +309,7 @@ def activity_features(
     out: dict = {
         "seen_total": seen,
         "total_inferred": seen + gone,
-        "seen_greek_total": sum(1 for t in tweets if t.lang == target_lang),
+        "seen_greek_total": sum(1 for t in tweets if t.lang == TARGET_LANG),
         "all_intervals": interval_histogram(all_gaps),
         "seen_top_tweets": len(top),
         "top_tweets_pcnt": _pcnt(len(top), seen),
@@ -357,10 +321,7 @@ def activity_features(
             for t in tweets
             if t.retweet_of is None and not t.hashtags and not t.mentions and not t.urls
         ),
-        "most_used_sources": sorted(
-            Counter(t.source_client for t in tweets).items(),
-            key=lambda kv: (-kv[1], kv[0]),
-        ),
+        "most_used_sources": top_counts(sources, len(sources)),
         "time_between_any": five_stats(all_gaps),
         "time_between_top": five_stats(top_gaps),
         "time_between_rt": five_stats(rt_gaps),
@@ -370,7 +331,6 @@ def activity_features(
         "tweets_per_hour_of_day": {h: per_hour.get(h, 0) for h in range(24)},
         "tweets_per_weekday": {d: per_weekday.get(d, 0) for d in range(7)},
     }
-    out["most_used_sources"] = [[s, n] for s, n in out["most_used_sources"]]
 
     # Account lifetime runs from creation to the last seen tweet; when no
     # snapshot ever arrived the first seen tweet stands in for creation.
@@ -440,12 +400,19 @@ def reply_targets(tweets: Iterable[Tweet]) -> dict[UserId, Counter]:
     return hits
 
 
+# interaction kind -> names of its top counterparts (out, in)
+_TOP_COUNTERPARTS = {
+    "mention": ("most_mentioned_users", "most_mentioned_by"),
+    "retweet": ("most_retweeted_users", "most_retweeted_by"),
+    "reply": ("most_replied_to", "most_replied_by"),
+}
+
+
 def interaction_features(
     u: UserId,
-    graphs: Mapping[str, InteractionGraph],
+    adj: Adjacency,
     tweets: list[Tweet],
     replies_to: Counter | None = None,
-    _adj: Adjacency | None = None,
 ) -> dict:
     """Degrees, weights and top counterparts on the interaction graphs.
 
@@ -453,35 +420,26 @@ def interaction_features(
     are degree over degree. replies_to is the per-tweet count of replies u's
     tweets received from others, keyed by the replied-to tweet id.
     """
-    adj = _adj if _adj is not None else build_adjacency(graphs)
     if replies_to is None:
         replies_to = Counter()
     seen = len(tweets)
     out: dict = {}
 
-    names = {"mention": "mention", "retweet": "retweet", "reply": "reply"}
-    for kind, prefix in names.items():
+    for kind, (top_out, top_in) in _TOP_COUNTERPARTS.items():
         outw, inw = adj.get(kind, ({}, {}))
         mine_out = outw.get(u, Counter())
         mine_in = inw.get(u, Counter())
         outdeg, indeg = len(mine_out), len(mine_in)
         outweight, inweight = sum(mine_out.values()), sum(mine_in.values())
-        out[prefix + "_indegree"] = indeg
-        out[prefix + "_outdegree"] = outdeg
-        out[prefix + "_inweight"] = inweight
-        out[prefix + "_outweight"] = outweight
-        out[prefix + "_avg_inweight"] = _ratio(inweight, indeg)
-        out[prefix + "_avg_outweight"] = _ratio(outweight, outdeg)
-        out[prefix + "_out_in_ratio"] = _ratio(outdeg, indeg)
-        if kind == "mention":
-            out["most_mentioned_users"] = top_counts(mine_out)
-            out["most_mentioned_by"] = top_counts(mine_in)
-        elif kind == "retweet":
-            out["most_retweeted_users"] = top_counts(mine_out)
-            out["most_retweeted_by"] = top_counts(mine_in)
-        else:
-            out["most_replied_to"] = top_counts(mine_out)
-            out["most_replied_by"] = top_counts(mine_in)
+        out[kind + "_indegree"] = indeg
+        out[kind + "_outdegree"] = outdeg
+        out[kind + "_inweight"] = inweight
+        out[kind + "_outweight"] = outweight
+        out[kind + "_avg_inweight"] = _ratio(inweight, indeg)
+        out[kind + "_avg_outweight"] = _ratio(outweight, outdeg)
+        out[kind + "_out_in_ratio"] = _ratio(outdeg, indeg)
+        out[top_out] = top_counts(mine_out)
+        out[top_in] = top_counts(mine_in)
 
     out["mention_pcnt"] = _pcnt(
         sum(1 for t in tweets if t.retweet_of is None and t.mentions), seen
@@ -746,10 +704,6 @@ def _entity_inventory(lex: Lexicons, tweets: list[Tweet]) -> dict[str, set[str]]
     return inventory
 
 
-def _mentions_entity(t: Tweet, aliases: set[str], text_low: str, tags: set[str]) -> bool:
-    return any(a in text_low for a in aliases) or bool(aliases & tags)
-
-
 def sentiment_features(tweets: list[Tweet], lex: Lexicons) -> dict:
     """Daily sentiment timeseries plus per-entity sentiment and co-mentions.
 
@@ -782,12 +736,11 @@ def sentiment_features(tweets: list[Tweet], lex: Lexicons) -> dict:
     for t in authored:
         text_low = t.text.lower()
         tags = {h.lower() for h in t.hashtags}
-        hit = [
+        hit = sorted(
             name
             for name, aliases in inventory.items()
-            if _mentions_entity(t, aliases, text_low, tags)
-        ]
-        hit.sort()
+            if any(a in text_low for a in aliases) or aliases & tags
+        )
         pos, neg = scores[t.id]
         for name in hit:
             node_w[name] += 1
@@ -996,6 +949,9 @@ FEATURE_FIELDS: tuple[str, ...] = (
     "vector_timestamp",
 )
 
+# the profile family's fields: every one of them reads missing without a snapshot
+_PROFILE_SLICE = slice(FEATURE_FIELDS.index("screen_name"), FEATURE_FIELDS.index("seen_total"))
+
 
 @dataclass
 class _Context:
@@ -1023,10 +979,9 @@ class Vectorizer:
     store write invalidates everything, which is coarse but always correct.
     """
 
-    def __init__(self, store: Store, lexicons: Lexicons | None = None, target_lang: str = "el"):
+    def __init__(self, store: Store, lexicons: Lexicons | None = None):
         self.store = store
         self.lex = lexicons if lexicons is not None else load_default()
-        self.target_lang = target_lang
         self._ctx: _Context | None = None
 
     # -- shared state --------------------------------------------------------
@@ -1117,11 +1072,10 @@ class Vectorizer:
                 gone=self.store.gone_count(u),
                 created_at=snapshot.created_at if snapshot else None,
                 as_of=as_of,
-                target_lang=self.target_lang,
             )
         )
         merged.update(
-            interaction_features(u, {}, tweets, ctx.replies_to.get(u), _adj=ctx.adj)
+            interaction_features(u, ctx.adj, tweets, ctx.replies_to.get(u))
         )
         fr = ctx.fr.get(u, set())
         fo = ctx.fo.get(u, set())
@@ -1140,32 +1094,14 @@ class Vectorizer:
         return vector
 
 
-def assemble_vector(
-    store: Store,
-    u: UserId,
-    as_of: Timestamp,
-    lexicons: Lexicons | None = None,
-    target_lang: str = "el",
-) -> dict:
-    """One-shot convenience around Vectorizer for a single user."""
-    return Vectorizer(store, lexicons, target_lang).assemble_vector(u, as_of)
-
-
 def export_vectors(
-    vec: Vectorizer,
-    users: Iterable[UserId],
-    as_of: Timestamp,
-    path: str | Path,
-    t_from: Timestamp | None = None,
+    vec: Vectorizer, users: Iterable[UserId], as_of: Timestamp, path: str | Path
 ) -> int:
     """Write one JSON line per user, fields in FEATURE_FIELDS order."""
     n = 0
     with open(path, "w", encoding="utf-8") as fh:
         for u in users:
-            if t_from is None:
-                row = vec.assemble_vector(u, as_of)
-            else:
-                row = vec.vector_between(u, t_from, as_of)
+            row = vec.assemble_vector(u, as_of)
             fh.write(json.dumps(row, ensure_ascii=False, separators=(",", ":")))
             fh.write("\n")
             n += 1

@@ -1,5 +1,3 @@
-import json
-
 import pytest
 from hypothesis import given, strategies as st
 
@@ -10,7 +8,6 @@ from langcrawl.apiface import (
     Endpoint,
     RateLimiter,
     RetryAfter,
-    load_budgets,
 )
 
 
@@ -75,16 +72,6 @@ def test_retry_after_reaches_next_window():
             rl.acquire(Endpoint.USERS_SHOW, t)
         verdict = rl.acquire(Endpoint.USERS_SHOW, t)
         assert rl.acquire(Endpoint.USERS_SHOW, t + verdict.duration) is GRANTED
-
-
-def test_load_budgets_overrides(tmp_path):
-    p = tmp_path / "budgets.json"
-    p.write_text(json.dumps({"user_timeline": {"max_requests": 3, "page_size": 50}}))
-    budgets = load_budgets(p)
-    assert budgets[Endpoint.USER_TIMELINE].max_requests == 3
-    assert budgets[Endpoint.USER_TIMELINE].page_size == 50
-    # untouched endpoints keep their defaults
-    assert budgets[Endpoint.FRIENDS_IDS] == DEFAULT_BUDGETS[Endpoint.FRIENDS_IDS]
 
 
 def test_page_sizes_match_contract():

@@ -6,6 +6,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from langcrawl import model
+from langcrawl.classify import ClassifierConfig
+from langcrawl.cli import RunManifest
+from langcrawl.sched import SchedulerConfig
+from langcrawl.simnet import WorldConfig
 from langcrawl.model import (
     MAX_ID,
     CrawlState,
@@ -176,3 +180,45 @@ def test_record_codecs_match_the_reflective_mapping(cls, data):
     rec = to_record(obj)
     assert rec == reference_record(obj) and list(rec) == list(reference_record(obj))
     assert from_record(cls, json.loads(json.dumps(rec))) == obj
+
+
+# -- config files ----------------------------------------------------------------
+
+
+def config_file(tmp_path, rec: dict):
+    p = tmp_path / "config.json"
+    p.write_text(json.dumps(rec), encoding="utf-8")
+    return p
+
+
+@pytest.mark.parametrize(
+    "cls",
+    [WorldConfig, SchedulerConfig, ClassifierConfig, RunManifest],
+    ids=lambda c: c.__name__,
+)
+def test_load_config_refuses_unknown_keys(tmp_path, cls):
+    with pytest.raises(ValueError, match=cls.__name__):
+        model.load_config(cls, config_file(tmp_path, {"no_such_field": 1}))
+
+
+def test_load_config_refuses_a_retired_scheduler_knob(tmp_path):
+    with pytest.raises(ValueError, match="rate_ema_alpha"):
+        model.load_config(SchedulerConfig, config_file(tmp_path, {"rate_ema_alpha": 0.5}))
+
+
+def test_load_config_reads_tuples_and_keeps_defaults(tmp_path):
+    scfg = model.load_config(SchedulerConfig, config_file(tmp_path, {"loops": ["tweets"]}))
+    assert scfg == SchedulerConfig(loops=("tweets",))
+    wcfg = model.load_config(WorldConfig, config_file(tmp_path, {"list_size": [2, 9]}))
+    assert wcfg.list_size == (2, 9)
+    ranges = {"script_ranges": [[880, 1023], [7936, 8191]]}
+    ccfg = model.load_config(ClassifierConfig, config_file(tmp_path, ranges))
+    assert ccfg.script_ranges == ((880, 1023), (7936, 8191))
+    assert ccfg.target_lang == ClassifierConfig().target_lang
+
+
+def test_world_config_json_round_trips(tmp_path):
+    cfg = WorldConfig(seed=9, list_size=(2, 9), places=("Worldwide", "Athens"))
+    p = tmp_path / "world.json"
+    p.write_text(cfg.to_json(), encoding="utf-8")
+    assert model.load_config(WorldConfig, p) == cfg

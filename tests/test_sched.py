@@ -411,3 +411,31 @@ def test_roundrobin_keeps_user_whose_timeline_request_failed():
     peers = [len(v) for v in api.starts.values()]
     # back at the end of the cycle, so visited as often as everyone else
     assert min(peers) - 1 <= len(visits) <= max(peers) + 1, (len(visits), peers)
+
+
+def test_walk_that_fetches_a_profile_keeps_its_user_in_the_profiles_queue():
+    # busy users: most timeline walks run past a full page and fetch a
+    # profile to arm their stop count, which stamps profile_fetched_at
+    w = World(
+        WorldConfig(
+            seed=4,
+            n_users=20,
+            community_fractions={"el": 1.0},
+            activity_min=100.0,
+            activity_max=400.0,
+        )
+    )
+    store = Store()
+    for u in w.users:
+        store.set_class(u, UserClass.TRACKED, w.now)
+    cfg = SchedulerConfig(loops=("tweets", "profiles"), drain=False)
+    crawler = Crawler(w, store, RateLimiter(), SimClock(w), cfg)
+    crawler.run(w.now + 3 * DAY)
+
+    queue = crawler._scans["profiles"].queue
+    live = {u for _, key, u in queue._heap if queue.key_of(u) == key and queue.live(u)}
+    assert any(  # some walk stamped the profile it fetched
+        st.profile_fetched_at is not None and st.profile_fetched_at == st.last_crawled_at
+        for st in store.crawl_states.values()
+    )
+    assert set(store.users_in_class(UserClass.TRACKED, UserClass.TARGET)) <= live

@@ -1,7 +1,9 @@
+from collections import Counter
+
 import pytest
 
 from langcrawl.apiface import GONE, UserProtected, UserSuspended
-from langcrawl.simnet import DAY, World, WorldConfig, exact_partition, generate
+from langcrawl.simnet import DAY, World, WorldConfig, exact_partition
 
 
 def small_world(seed=3, **kw) -> World:
@@ -180,10 +182,6 @@ def test_ground_truth_totals_match_log():
     assert per_user == len(list(gt.all_tweets()))
 
 
-def test_generate_helper_equivalent():
-    assert generate(WorldConfig(seed=2, n_users=10)).cfg.n_users == 10
-
-
 def test_follow_edges_ground_truth():
     w = small_world()
     w.frozen = True
@@ -195,3 +193,19 @@ def test_follow_edges_ground_truth():
     n = len(w.ground_truth().follow_edges())
     w.follow(a, b)
     assert len(w.ground_truth().follow_edges()) == n
+
+
+def test_trends_match_a_recount_of_the_last_day():
+    w = small_world()
+    polls = 0
+    # polls closer together than a day, and gaps longer than one
+    for step in (3600, 6 * 3600, 7 * 3600, 2 * DAY, 1, 11 * 3600, 3 * DAY):
+        w.advance(step)
+        counts = Counter(
+            tag for t in w.tweet_log if t.created_at >= w.now - DAY for tag in t.hashtags
+        )
+        top = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))[:10]
+        want = tuple(f"#{tag}" for tag, _ in top) or ("#welcome",)
+        assert w.trends_place("Worldwide").trends == want
+        polls += len(top) == 10
+    assert polls, "no poll saw ten distinct tags"

@@ -90,16 +90,6 @@ def test_snapshot_as_of_picks_latest_not_after():
     assert s.latest_snapshot(1).bio == "b"
 
 
-def test_screen_name_index_reassignment():
-    s = Store()
-    s.put_snapshot(snap(id=1, screen_name="alpha"))
-    s.put_snapshot(snap(id=2, screen_name="Alpha", observed_at=2000))
-    # the newer claimant wins the (lowercased) handle
-    assert s.lookup_screen_name("ALPHA") == 2
-    s.put_snapshot(snap(id=1, screen_name="beta", observed_at=3000))
-    assert s.lookup_screen_name("beta") == 1
-
-
 # -- tweets --------------------------------------------------------------------
 
 
@@ -192,7 +182,7 @@ def test_save_load_round_trip(tmp_path):
     assert back.all_favorites() == s.all_favorites()
     assert back.user_class(1) is UserClass.TARGET
     assert back.get_crawl_state(1) == s.get_crawl_state(1)
-    assert back.lookup_screen_name("maria") == 1
+    assert back.latest_snapshot(1).screen_name == "maria"
 
 
 def test_save_is_deterministic(tmp_path):

@@ -20,6 +20,7 @@ from langcrawl.vectorize import (
     UnknownUser,
     Vectorizer,
     activity_features,
+    build_adjacency,
     export_vectors,
     five_stats,
     interaction_features,
@@ -279,15 +280,15 @@ def test_interaction_degrees_weights_ratios():
         tw(4, author=2, at=30, retweet_of=(1, 1)),
         tw(5, author=3, at=40, retweet_of=(1, 1)),
     ]
-    graphs = extract_interactions(tweets)
-    a = interaction_features(1, graphs, [tweets[0]])
+    adj = build_adjacency(extract_interactions(tweets))
+    a = interaction_features(1, adj, [tweets[0]])
     assert a["retweet_indegree"] == 2
     assert a["retweet_inweight"] == 4
     assert a["retweet_avg_inweight"] == pytest.approx(2.0)
     assert a["retweet_outdegree"] == 0
     assert a["retweet_out_in_ratio"] == pytest.approx(0.0)
     assert a["most_retweeted_by"] == [[2, 3], [3, 1]]
-    b = interaction_features(2, graphs, [t for t in tweets if t.author == 2])
+    b = interaction_features(2, adj, [t for t in tweets if t.author == 2])
     assert b["retweet_outdegree"] == 1
     assert b["retweet_out_in_ratio"] is None  # nobody retweets 2
     assert b["retweet_pcnt"] == pytest.approx(100.0)
@@ -299,10 +300,10 @@ def test_interaction_replies_and_engagement():
         tw(202, author=2, at=10, reply_to=(201, 1)),
         tw(203, author=1, at=20, reply_to=(202, 2)),
     ]
-    graphs = extract_interactions(tweets)
+    adj = build_adjacency(extract_interactions(tweets))
     replies = reply_targets(tweets)
     mine = [t for t in tweets if t.author == 1]
-    out = interaction_features(1, graphs, mine, replies_to=replies.get(1))
+    out = interaction_features(1, adj, mine, replies_to=replies.get(1))
     assert out["reply_indegree"] == 1
     assert out["reply_outdegree"] == 1
     assert out["reply_out_in_ratio"] == pytest.approx(1.0)
@@ -316,8 +317,8 @@ def test_interaction_mentions_exclude_retweets():
         tw(1, author=1, at=0, mentions=(5,)),
         tw(2, author=1, at=10, retweet_of=(99, 9), mentions=(5,)),
     ]
-    graphs = extract_interactions(tweets)
-    out = interaction_features(1, graphs, tweets)
+    adj = build_adjacency(extract_interactions(tweets))
+    out = interaction_features(1, adj, tweets)
     assert out["mention_outweight"] == 1
     assert out["mention_pcnt"] == pytest.approx(50.0)  # 1 of 2 tweets mentions
 
