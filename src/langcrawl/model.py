@@ -57,7 +57,27 @@ class UserClass(enum.Enum):
     PROTECTED = "protected"
 
 
-@dataclass(frozen=True, slots=True)
+def _record(cls: type) -> type:
+    """A frozen, slotted dataclass whose __init__ sets each slot directly.
+
+    The __init__ that dataclasses writes for a frozen class calls
+    object.__setattr__ once per field. Setting the slots through their
+    descriptors builds the same object about three times faster, and the
+    crawl makes one record per tweet, profile, edge and state change.
+    """
+    cls = dataclass(frozen=True, slots=True)(cls)
+    names = [f.name for f in fields(cls)]
+    scope = {f"_set_{name}": getattr(cls, name).__set__ for name in names}
+    body = "".join(f"    _set_{name}(self, {name})\n" for name in names)
+    exec(f"def __init__(self, {', '.join(names)}):\n{body}", scope)
+    init = scope["__init__"]
+    init.__defaults__ = cls.__init__.__defaults__
+    init.__qualname__ = f"{cls.__qualname__}.__init__"
+    cls.__init__ = init
+    return cls
+
+
+@_record
 class UserSnapshot:
     """One observation of a user profile at a point in time."""
 
@@ -79,7 +99,7 @@ class UserSnapshot:
     observed_at: Timestamp
 
 
-@dataclass(frozen=True, slots=True)
+@_record
 class Tweet:
     id: TweetId
     author: UserId
@@ -96,14 +116,14 @@ class Tweet:
     truncated: bool = False
 
 
-@dataclass(frozen=True, slots=True)
+@_record
 class FollowEdge:
     src: UserId  # follower
     dst: UserId  # followee
     observed_at: Timestamp
 
 
-@dataclass(frozen=True, slots=True)
+@_record
 class FollowScan:
     """Marker for one completed friends/followers enumeration.
 
@@ -116,7 +136,7 @@ class FollowScan:
     at: Timestamp
 
 
-@dataclass(frozen=True, slots=True)
+@_record
 class ListRecord:
     id: ListId
     owner: UserId
@@ -125,21 +145,21 @@ class ListRecord:
     created_at: Timestamp
 
 
-@dataclass(frozen=True, slots=True)
+@_record
 class ListMembership:
     list_id: ListId
     member: UserId
     observed_at: Timestamp
 
 
-@dataclass(frozen=True, slots=True)
+@_record
 class ListSubscription:
     list_id: ListId
     subscriber: UserId
     observed_at: Timestamp
 
 
-@dataclass(frozen=True, slots=True)
+@_record
 class FavoriteRecord:
     user: UserId  # who pressed like
     tweet: TweetId
@@ -147,14 +167,14 @@ class FavoriteRecord:
     observed_at: Timestamp
 
 
-@dataclass(frozen=True, slots=True)
+@_record
 class TrendSnapshot:
     place: str
     observed_at: Timestamp
     trends: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True, slots=True)
+@_record
 class CrawlState:
     """Per-user crawl bookkeeping. Updated by replacement, never in place."""
 
@@ -172,7 +192,7 @@ class CrawlState:
     est_rate: float = 0.0  # tweets per day
 
 
-@dataclass(frozen=True, slots=True)
+@_record
 class ClassTransition:
     user: UserId
     old: UserClass
@@ -180,7 +200,7 @@ class ClassTransition:
     at: Timestamp
 
 
-@dataclass(frozen=True, slots=True)
+@_record
 class GoneRef:
     """A referenced tweet id the platform no longer serves."""
 

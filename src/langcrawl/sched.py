@@ -28,8 +28,9 @@ the store's crawl states.
 from __future__ import annotations
 
 import heapq
+import operator
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields
 from functools import partial
 from typing import Callable, Protocol
 
@@ -65,7 +66,7 @@ from .model import (
     UserId,
     tweet_refs,
 )
-from .store import Store
+from .store import PutTweetResult, Store
 
 DAY = 86400
 
@@ -161,6 +162,18 @@ def _next_window(t: Timestamp) -> Timestamp:
     return (t // WINDOW + 1) * WINDOW
 
 
+_STATE_INDEX = {f.name: i for i, f in enumerate(fields(CrawlState))}
+_state_values = operator.attrgetter(*_STATE_INDEX)
+
+
+def _updated(state: CrawlState, **changes) -> CrawlState:
+    """dataclasses.replace for a CrawlState, without its per-field checks."""
+    values = list(_state_values(state))
+    for name, value in changes.items():
+        values[_STATE_INDEX[name]] = value
+    return CrawlState(*values)
+
+
 class RevisitQueue:
     """Users due for a revisit, soonest first.
 
@@ -168,8 +181,10 @@ class RevisitQueue:
     entry was pushed, -1 before the first scan, and `due` is key + window (-1
     for a user never scanned) unless the caller names another moment. An
     entry whose key no longer matches key_of(user) was superseded by a later
-    scan, and it is dropped once it reaches the front, as is a user for whom
-    live(user) has turned false.
+    scan, and it is dropped once it is at the front and due, as is a user for
+    whom live(user) has turned false. Both are final (scan stamps only grow,
+    and a user that stops being crawlable never becomes crawlable again), so
+    an entry that is not yet due is not looked at.
     """
 
     def __init__(
@@ -194,10 +209,11 @@ class RevisitQueue:
         heap = self._heap
         while heap:
             due, key, u = heap[0]
-            if self.key_of(u) != key or not self.live(u):
-                heapq.heappop(heap)
-                continue
-            return u if due <= now else None
+            if due > now:
+                return None
+            if self.key_of(u) == key and self.live(u):
+                return u
+            heapq.heappop(heap)
         return None
 
     def pop(self, now: Timestamp) -> UserId | None:
@@ -568,7 +584,7 @@ class Crawler:
             return "done"
 
         for t in page:
-            if self.store.put_tweet(t).name == "INSERTED":
+            if self.store.put_tweet(t) is PutTweetResult.INSERTED:
                 walk.stored += 1
             self._register_refs(t)
         walk.seen += len(page)
@@ -611,7 +627,7 @@ class Crawler:
             observed = walk.stored / staleness_days
             a = RATE_EMA_ALPHA
             est = a * observed + (1 - a) * state.est_rate
-        state = replace(
+        state = _updated(
             state,
             first_seen_tweet=first,
             last_seen_tweet=last,
@@ -722,11 +738,12 @@ class Crawler:
         now = self.clock.now()
         walk = loop.walk
         if walk is None:
-            u = loop.queue.pop(now) if loop.paged else loop.queue.peek(now)
+            u = loop.queue.peek(now)
             if u is None:
                 return False
             walk = _ScanWalk(u)
             if loop.paged:
+                loop.queue.pop(now)
                 loop.walk = walk
         endpoint = loop.endpoints[walk.phase]
         status, result = self._request(endpoint, walk.user, lambda: loop.fetch(endpoint, walk))
@@ -749,7 +766,7 @@ class Crawler:
 
     def _stamp(self, stamp: str, walk: _ScanWalk) -> None:
         state = self.store.get_crawl_state(walk.user)
-        self.store.put_crawl_state(replace(state, **{stamp: self.clock.now()}))
+        self.store.put_crawl_state(_updated(state, **{stamp: self.clock.now()}))
 
     def _take_follow(self, walk: _ScanWalk, result) -> int | None:
         items, nxt = result

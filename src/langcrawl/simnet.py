@@ -16,10 +16,12 @@ import bisect
 import heapq
 import json
 import random
+import re
 from collections import Counter, deque
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from pathlib import Path
-from typing import Iterable
+from typing import Callable, Iterable
 
 from . import lexicons as lex
 from .apiface import (
@@ -170,10 +172,19 @@ _DOMAINS = (
     "videos.example.tv",
 )
 _EMOJI = tuple("😀😂🎉🔥👍😭🙏❤")
+_EMOTICONS = tuple(sorted(_DEFAULT_LEX.emoticons))
+_YEARS = tuple(str(y) for y in range(1990, 2030))
 
 
 def _pool_for(lang: str) -> dict:
     return _POOLS.get(lang, _POOLS["en"])
+
+
+@lru_cache(maxsize=8)
+def _keyword_search(keywords: tuple[str, ...]) -> Callable[[str], object] | None:
+    """A search for any of the lowercased keywords; None when there are none."""
+    needles = sorted({k.lower() for k in keywords})
+    return re.compile("|".join(map(re.escape, needles))).search if needles else None
 
 
 def _b36(n: int) -> str:
@@ -491,25 +502,29 @@ class World:
         heapq.heappush(self._events, (after + gap, user.uid))
 
     def advance(self, dt: float) -> None:
-        """Run the world forward dt seconds of virtual time."""
+        """Run the world forward dt seconds of virtual time.
+
+        The clock never runs backward: an event that fell due while a
+        scripted mutator moved the clock past it fires now.
+        """
         assert dt > 0
         end = self.now + dt
+        events, users = self._events, self.users
         while True:
-            next_event = self._events[0][0] if self._events else float("inf")
             boundary = min(self._next_day_tick, end)
-            if next_event >= boundary or self.frozen:
-                if boundary >= end:
-                    break
-                self._next_day_tick += DAY
-                self.now = boundary
-                self._day_tick()
-                continue
-            t, uid = heapq.heappop(self._events)
-            self.now = int(t)
-            user = self.users[uid]
-            if user.status == "ok":
-                self._emit_event(user)
-                self._schedule_next_event(user, t)
+            while not self.frozen and events and events[0][0] < boundary:
+                t, uid = heapq.heappop(events)
+                if t > self.now:
+                    self.now = int(t)
+                user = users[uid]
+                if user.status == "ok":
+                    self._emit_event(user)
+                    self._schedule_next_event(user, t)
+            if boundary >= end:
+                break
+            self._next_day_tick += DAY
+            self.now = max(self.now, boundary)
+            self._day_tick()
         self.now = int(end)
 
     def _day_tick(self) -> None:
@@ -563,7 +578,7 @@ class World:
             k = 1 + (rng.random() < 0.25 and len(user.friends) > 1)
             seen = []
             for _ in range(k):
-                v = user.friends[rng.randrange(len(user.friends))]
+                v = rng.choice(user.friends)
                 if v not in seen:
                     seen.append(v)
             mentions = tuple(seen)
@@ -577,7 +592,7 @@ class World:
         for _ in range(4):
             if not user.friends:
                 return None
-            friend = self.users[user.friends[rng.randrange(len(user.friends))]]
+            friend = self.users[rng.choice(user.friends)]
             if friend.tweets:
                 depth = min(len(friend.tweets), 50)
                 return friend.tweets[len(friend.tweets) - 1 - rng.randrange(depth)]
@@ -637,45 +652,48 @@ class World:
             mentions=mentions,
             hashtags=hashtags,
             urls=urls,
-            source_client=user.clients[rng.randrange(len(user.clients))],
+            source_client=rng.choice(user.clients),
             truncated=False,
         )
         user.tweets.append(tweet)
         user.tweet_ids.append(tid)
         self.tweets_by_id[tid] = tweet
         self.tweet_log.append(tweet)
-        for tag in hashtags:
-            self._recent_tags.append((self.now, tag))
-        self._tag_counts.update(hashtags)
+        if hashtags:
+            for tag in hashtags:
+                self._recent_tags.append((self.now, tag))
+            self._tag_counts.update(hashtags)
         return tweet
 
     def _compose_text(self, rng: random.Random, lang: str) -> list[str]:
+        # rng.choice(seq) makes the draw of seq[rng.randrange(len(seq))] in one call
         pool = _pool_for(lang)
+        stop, content, senti, gender = pool["stop"], pool["content"], pool["senti"], pool["gender"]
+        random_, choice = rng.random, rng.choice
         n_words = rng.randrange(4, 14)
-        if rng.random() < 0.04:
+        if random_() < 0.04:
             n_words += rng.randrange(10, 25)  # occasionally long, exercises truncation
         words = []
         for _ in range(n_words):
-            r = rng.random()
+            r = random_()
             if r < 0.45:
-                w = pool["stop"][rng.randrange(len(pool["stop"]))]
+                w = choice(stop)
             elif r < 0.80:
-                w = pool["content"][rng.randrange(len(pool["content"]))]
-            elif r < 0.92 and pool["senti"]:
-                w = pool["senti"][rng.randrange(len(pool["senti"]))]
-            elif pool["gender"] and r < 0.95:
-                w = pool["gender"][rng.randrange(len(pool["gender"]))]
+                w = choice(content)
+            elif r < 0.92 and senti:
+                w = choice(senti)
+            elif gender and r < 0.95:
+                w = choice(gender)
             else:
-                w = str(rng.randrange(1990, 2030))
-            if rng.random() < 0.02:
+                w = choice(_YEARS)  # the draw of randrange(1990, 2030)
+            if random_() < 0.02:
                 w = w.upper()
             words.append(w)
-        if rng.random() < 0.10:
-            words.append(_EMOJI[rng.randrange(len(_EMOJI))])
-        if rng.random() < 0.08:
-            emo = sorted(_DEFAULT_LEX.emoticons)
-            words.append(emo[rng.randrange(len(emo))])
-        if rng.random() < 0.01:
+        if random_() < 0.10:
+            words.append(choice(_EMOJI))
+        if random_() < 0.08:
+            words.append(choice(_EMOTICONS))
+        if random_() < 0.01:
             words = [w.upper() for w in words]
         return words
 
@@ -775,8 +793,7 @@ class World:
         if max_id is not None:
             hi = bisect.bisect_right(ids, max_id, lo=window_start)
         start = max(lo, hi - count)
-        page = [user.tweets[i] for i in range(hi - 1, start - 1, -1)]
-        page = [self._display(t) for t in page]
+        page = [self._display(t) for t in reversed(user.tweets[start:hi])]
         self._log(Endpoint.USER_TIMELINE, u, f"ok:{len(page)}")
         return page
 
@@ -811,13 +828,11 @@ class World:
     ) -> tuple[list[UserId], Cursor]:
         page = DEFAULT_BUDGETS[endpoint].page_size
         start = cursor or 0
-        chunk = [v for v in seq[start : start + page] if self._listed(v)]
+        # suspended and deleted accounts drop out of enumerations
+        users = self.users
+        chunk = [v for v in seq[start : start + page] if users[v].status in ("ok", "protected")]
         nxt = start + page
         return chunk, (nxt if nxt < len(seq) else None)
-
-    def _listed(self, u: UserId) -> bool:
-        # suspended and deleted accounts drop out of enumerations
-        return self.users[u].status in ("ok", "protected")
 
     def friends_ids(self, u: UserId, cursor: Cursor = None) -> tuple[list[UserId], Cursor]:
         user = self._visible_user(u, Endpoint.FRIENDS_IDS)
@@ -918,23 +933,26 @@ class World:
         return TrendSnapshot(place=place, observed_at=self.now, trends=trends)
 
     def stream_filter(self, keywords: Iterable[str], budget: int) -> list[Tweet]:
-        """Matching tweets created since the previous stream read, oldest first."""
-        needles = [k.lower() for k in keywords]
+        """Matching tweets created since the previous stream read, oldest first.
+
+        A tweet matches when its lowercased text contains a lowercased
+        keyword; no keyword matches nothing."""
+        keywords = tuple(keywords)
+        match = _keyword_search(keywords)
         out: list[Tweet] = []
         pos = self._stream_pos
-        log = self.tweet_log
+        log, users = self.tweet_log, self.users
+        if match is None:
+            pos = len(log)
         while pos < len(log):
             t = log[pos]
             pos += 1
-            if self.users[t.author].status != "ok":
-                continue
-            low = t.text.lower()
-            if any(n in low for n in needles):
+            if users[t.author].status == "ok" and match(t.text.lower()):
                 out.append(t)
                 if len(out) >= budget:
                     break
         self._stream_pos = pos
-        self._log(Endpoint.STREAM_FILTER, len(needles), f"ok:{len(out)}")
+        self._log(Endpoint.STREAM_FILTER, len(keywords), f"ok:{len(out)}")
         return out
 
     # -- snapshot export ------------------------------------------------------------

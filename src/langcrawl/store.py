@@ -16,9 +16,11 @@ from __future__ import annotations
 import bisect
 import enum
 import json
+import operator
 import os
 import shutil
 from collections import Counter, defaultdict
+from dataclasses import fields
 from pathlib import Path
 from typing import Callable, Iterable
 
@@ -56,12 +58,10 @@ class PutTweetResult(enum.Enum):
 
 _SNAPSHOT_VOLATILE = ("tweet_count", "observed_at")
 
-
-def _snapshot_core(s: UserSnapshot) -> tuple:
-    rec = model.to_record(s)
-    for name in _SNAPSHOT_VOLATILE:
-        rec.pop(name)
-    return tuple(sorted(rec.items()))
+# the fields whose change makes a snapshot worth storing
+_snapshot_core = operator.attrgetter(
+    *(f.name for f in fields(UserSnapshot) if f.name not in _SNAPSHOT_VOLATILE)
+)
 
 
 _ENCODER = json.JSONEncoder(ensure_ascii=False, sort_keys=True, separators=(",", ":"))

@@ -164,22 +164,53 @@ def reference_record(obj) -> dict:
     return {f.name: plain(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
 
 
+def any_record(cls):
+    # every field drawn from its type; a NaN rate would not equal itself
+    return st.builds(
+        cls,
+        **{
+            f.name: st.floats(allow_nan=False) if f.type == "float" else ...
+            for f in dataclasses.fields(cls)
+        },
+    )
+
+
 @pytest.mark.parametrize("cls", RECORD_CLASSES, ids=lambda c: c.__name__)
 @given(data=st.data())
 def test_record_codecs_match_the_reflective_mapping(cls, data):
-    # every field drawn from its type; a NaN rate would not equal itself
-    obj = data.draw(
-        st.builds(
-            cls,
-            **{
-                f.name: st.floats(allow_nan=False) if f.type == "float" else ...
-                for f in dataclasses.fields(cls)
-            },
-        )
-    )
+    obj = data.draw(any_record(cls))
     rec = to_record(obj)
     assert rec == reference_record(obj) and list(rec) == list(reference_record(obj))
     assert from_record(cls, json.loads(json.dumps(rec))) == obj
+
+
+def dataclass_twin(cls):
+    """cls as plain dataclasses would build it: same fields, its own __init__."""
+    return dataclasses.make_dataclass(
+        cls.__name__,
+        [(f.name, f.type, dataclasses.field(default=f.default)) for f in dataclasses.fields(cls)],
+        frozen=True,
+        slots=True,
+    )
+
+
+@pytest.mark.parametrize("cls", RECORD_CLASSES, ids=lambda c: c.__name__)
+@given(data=st.data())
+def test_record_init_builds_what_the_dataclass_init_builds(cls, data):
+    twin = dataclass_twin(cls)
+    names = [f.name for f in dataclasses.fields(cls)]
+    values = [getattr(data.draw(any_record(cls)), n) for n in names]
+    state = lambda obj: [getattr(obj, n) for n in names]  # noqa: E731
+    assert state(cls(*values)) == state(twin(*values)) == values
+    assert cls(**dict(zip(names, values))) == cls(*values)
+    required = sum(f.default is dataclasses.MISSING for f in dataclasses.fields(cls))
+    assert state(cls(*values[:required])) == state(twin(*values[:required]))
+    with pytest.raises(TypeError):
+        cls(*values, None)
+    with pytest.raises(TypeError):
+        cls(*values[: required - 1])
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(cls(*values), names[0], values[0])
 
 
 # -- config files ----------------------------------------------------------------

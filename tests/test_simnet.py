@@ -1,9 +1,11 @@
+import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from langcrawl.apiface import GONE, UserProtected, UserSuspended
-from langcrawl.simnet import DAY, World, WorldConfig, exact_partition
+from langcrawl.simnet import _YEARS, DAY, World, WorldConfig, exact_partition
 
 
 def small_world(seed=3, **kw) -> World:
@@ -66,6 +68,25 @@ def test_advance_emits_monotonic_tweets():
     ids = [t.id for t in log]
     assert ids == sorted(ids)
     assert all(w.cfg.start_time <= at <= w.now for at in ats)
+
+
+def test_advance_after_scripted_tweets_never_runs_the_clock_backward():
+    w = small_world()
+    w.advance(DAY)
+    u = next(u for u in sorted(w.users) if w.users[u].status == "ok")
+    w.emit_tweets(u, 100, gap=600)  # moves the clock past pending events
+    scripted_end = w.now
+    before = len(w.tweet_log)
+    w.advance(1)
+    fired = w.tweet_log[before:]
+    assert fired, "events that fell due meanwhile must fire"
+    assert all(t.created_at == scripted_end for t in fired)
+    ats = [t.created_at for t in w.tweet_log]
+    assert ats == sorted(ats), "id order must equal creation order"
+    assert w.now == scripted_end + 1
+    w.advance(2 * DAY)
+    ats = [t.created_at for t in w.tweet_log]
+    assert ats == sorted(ats)
 
 
 def test_frozen_world_stops_organic_activity_but_serves_api():
@@ -209,3 +230,77 @@ def test_trends_match_a_recount_of_the_last_day():
         assert w.trends_place("Worldwide").trends == want
         polls += len(top) == 10
     assert polls, "no poll saw ten distinct tags"
+
+
+# -- draws ---------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "n", [1, 2, 35, 100] + [2**k + d for k in (3, 6, 16, 40) for d in (-1, 1)]
+)
+def test_choice_draws_as_randrange_indexing(n):
+    # the world draws from its pools with rng.choice and relies on it making
+    # the draw seq[rng.randrange(len(seq))] makes, on every supported Python
+    seq = range(n)
+    for seed in (0, 1, 7, "3:user:5"):
+        a, b = random.Random(seed), random.Random(seed)
+        assert [a.choice(seq) for _ in range(300)] == [
+            seq[b.randrange(len(seq))] for _ in range(300)
+        ]
+        assert a.random() == b.random()
+
+
+def test_year_draw_is_the_draw_of_randrange():
+    a, b = random.Random(11), random.Random(11)
+    assert [a.choice(_YEARS) for _ in range(500)] == [
+        str(b.randrange(1990, 2030)) for _ in range(500)
+    ]
+
+
+# -- stream ----------------------------------------------------------------------
+
+
+def test_stream_filter_status_budget_position_and_case():
+    w = small_world()
+    w.advance(DAY)
+    w.frozen = True
+    assert w.stream_filter(["no such keyword"], 10**6) == []  # reads to the end
+    a, b, c = sorted(w.users)[:3]
+    hit = w.emit_tweet(a, text="Hello WORLD")
+    w.emit_tweet(b, text="nothing here")
+    w.emit_tweet(c, text="hello from a suspended account")
+    later = w.emit_tweet(a, text="Say ΓΕΙΑ and hello")
+    w.churn_user(c, "suspended")
+
+    assert w.stream_filter(["hello"], 1) == [hit]  # the budget ends the read
+    assert w.stream_filter(["HELLO", "γεια"], 10) == [later]
+    assert w.stream_filter(["hello"], 10) == []  # nothing new since
+    assert [(r["target"], r["outcome"]) for r in w.request_log[-4:]] == [
+        (1, "ok:0"),
+        (1, "ok:1"),
+        (2, "ok:1"),
+        (1, "ok:0"),
+    ]
+
+
+_STREAM_TOKENS = st.sampled_from(
+    [" ", "a", "A", "ab", ".", "*", "|", "(", ")", "[", "\\", "+", "?", "^", "$",
+     "σ", "ς", "Σ", "ΟΔΟΣ", "οδος", "ΟΔΌΣ", "Γεια", "ΓΕΙΑ"]
+)
+_STREAM_TEXT = st.lists(_STREAM_TOKENS, max_size=8).map("".join)
+
+
+@settings(max_examples=200, deadline=None)
+@given(keywords=st.lists(_STREAM_TEXT, max_size=4), texts=st.lists(_STREAM_TEXT, max_size=6))
+def test_stream_match_is_the_substring_rule(keywords, texts):
+    w = World(WorldConfig(seed=1, n_users=4))
+    w.frozen = True
+    u = min(w.users)
+    tweets = [w.emit_tweet(u, text=text) for text in texts]
+    want = [
+        t for t in tweets if any(k.lower() in t.text.lower() for k in keywords)
+    ]
+    assert w.stream_filter(keywords, len(tweets) + 1) == want
+    # a second keyword list replaces the first
+    w.emit_tweet(u, text="a.b")
+    assert w.stream_filter(["."], 10)[0].text == "a.b"

@@ -4,7 +4,9 @@ import os
 import shutil
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from langcrawl import model
 from langcrawl.model import (
     CrawlState,
     FavoriteRecord,
@@ -78,6 +80,33 @@ def test_snapshot_any_other_field_change_is_stored():
         r = s.put_snapshot(snap(**{f.name: new, "observed_at": 2000}))
         assert r is PutSnapshotResult.STORED, f.name
         assert len(s.snapshots[1]) == 2, f.name
+
+
+def _record_core(s: UserSnapshot) -> tuple:
+    """The dedup rule as a record comparison: every field but the volatile two."""
+    rec = model.to_record(s)
+    del rec["tweet_count"], rec["observed_at"]
+    return tuple(sorted(rec.items()))
+
+
+_FIELD_VALUES = {
+    str: st.sampled_from(["", "maria", "Μαρία", "x"]) | st.text(max_size=4),
+    int: st.sampled_from([0, 1, 5, 10, 20, 100, 1000]) | st.integers(-5, 2000),
+    bool: st.booleans(),
+}
+
+
+@settings(deadline=None)
+@given(data=st.data())
+def test_snapshot_dedup_is_the_record_rule(data):
+    field = data.draw(st.sampled_from(dataclasses.fields(UserSnapshot)))
+    old = snap()
+    value = data.draw(_FIELD_VALUES[type(getattr(old, field.name))])
+    new = dataclasses.replace(old, **{field.name: value})
+    s = Store()
+    s.put_snapshot(old)
+    skipped = s.put_snapshot(new) is PutSnapshotResult.SKIPPED_TWEET_COUNT_ONLY
+    assert skipped == (_record_core(old) == _record_core(new))
 
 
 def test_snapshot_as_of_picks_latest_not_after():
