@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from functools import cache
 from pathlib import Path
 
 from . import lexicons as lex
@@ -173,15 +174,18 @@ def run_classification(
 ) -> ClassificationReport:
     """One full classification round: rule verdicts for every user with stored
     tweets, then the neighbor vote over still-undecided tracked users, then
-    the daily demotion sweep. Target is sticky throughout."""
+    the daily demotion sweep. Target is sticky throughout.
+
+    The passes change classes but store no tweets, so each user's language
+    counts are read once per round."""
     report = ClassificationReport()
+    stats_of = cache(lambda u: lang_stats(store, u, cfg.target_lang))
 
     for u in store.tweet_authors():
         current = store.user_class(u)
         if current in UNSEEDABLE or current is UserClass.TARGET:
             continue
-        stats = lang_stats(store, u, cfg.target_lang)
-        verdict = classify_user(stats, store.latest_snapshot(u), cfg, common_names)
+        verdict = classify_user(stats_of(u), store.latest_snapshot(u), cfg, common_names)
         if verdict is Verdict.TARGET:
             if current is UserClass.UNKNOWN:
                 # membership implies having been tracked; keep the history sane
@@ -191,7 +195,7 @@ def run_classification(
             _apply(store, report, u, UserClass.STOPPED, now)
 
     for u in store.users_in_class(UserClass.TRACKED):
-        stats = lang_stats(store, u, cfg.target_lang)
+        stats = stats_of(u)
         if stats.seen_total > 0 and stats.pct_target < cfg.stop_max_pct:
             # own tweets trend toward the stop rule; a promotion now would be
             # sticky and contradict the eventual stop verdict
@@ -202,9 +206,7 @@ def run_classification(
         if neighbor_resolve(u, classes, cfg) is Verdict.TARGET:
             _apply(store, report, u, UserClass.TARGET, now)
 
-    tracked = store.users_in_class(UserClass.TRACKED)
-    stats = [lang_stats(store, u, cfg.target_lang) for u in tracked]
-    for u in daily_pass(stats, cfg):
+    for u in daily_pass([stats_of(u) for u in store.users_in_class(UserClass.TRACKED)], cfg):
         _apply(store, report, u, UserClass.STOPPED, now)
 
     return report

@@ -447,7 +447,7 @@ class Crawler:
     def _state_queue(self, stamp: str, window: int) -> RevisitQueue:
         """A queue keyed on one CrawlState scan stamp."""
         return RevisitQueue(
-            lambda u: getattr(self.store.get_crawl_state(u), stamp) or -1,
+            lambda u: getattr(self.store.crawl_states.get(u), stamp, None) or -1,
             self._crawlable,
             window,
         )

@@ -9,6 +9,12 @@ Family functions are pure: they take prepared inputs and return a dict for
 their slice of the vector. Vectorizer wires them to a Store, shares the
 expensive whole-corpus state (interaction graphs, follow snapshot, favorite
 maps) across users, and caches finished vectors until the store changes.
+
+Each tweet a user wrote (anything but a retweet) is read once, by
+read_authored, into an Authored record: its lowercased text, its tokens from
+a single tokenize call, its words, its UTC day, its sentiment and the
+entities it mentions. The text and sentiment families fold over these
+records. They are built per user and dropped with that user's vector.
 """
 
 from __future__ import annotations
@@ -21,11 +27,12 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from datetime import date, timedelta
 from functools import cache
+from itertools import combinations
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 from urllib.parse import urlsplit
 
-from .graphmine import InteractionGraph, extract_interactions, follow_snapshot
+from .graphmine import InteractionGraph, extract_interactions, favorite_graph, follow_snapshot
 from .lexicons import (
     EMOJI_RANGES,
     TARGET_SCRIPT_RANGES,
@@ -34,7 +41,7 @@ from .lexicons import (
     in_ranges,
     load_default,
 )
-from .model import CrawlState, Timestamp, Tweet, TweetId, UserClass, UserId, UserSnapshot
+from .model import CrawlState, Timestamp, Tweet, UserClass, UserId, UserSnapshot
 from .store import Store
 
 DAY = 86400
@@ -138,8 +145,7 @@ def _weekday(ts: Timestamp) -> int:
 # Word pieces are unicode letters and digits; underscore is kept out so that
 # tag-style compounds split the same way twitter renders them.
 _WORD_RE = re.compile(r"[^\W_]+")
-_MENTION_RE = re.compile(r"@\w+")
-_HASHTAG_RE = re.compile(r"#\w+")
+_TAG_RE = re.compile(r"[@#]\w+")
 
 WORD = "word"
 HASHTAG = "hashtag"
@@ -163,41 +169,76 @@ def tokenize(text: str, emoticons: frozenset = frozenset()) -> list[tuple[str, s
         if chunk in emoticons:
             tokens.append((EMOTICON, chunk))
             continue
-        if chunk[0] == "@":
-            m = _MENTION_RE.match(chunk)
-            if m:
-                tokens.append((MENTION, m.group()))
-                continue
-        if chunk[0] == "#":
-            m = _HASHTAG_RE.match(chunk)
-            if m:
-                tokens.append((HASHTAG, m.group()))
-                continue
+        m = chunk[0] in "@#" and _TAG_RE.match(chunk)
+        if m:
+            tokens.append((MENTION if chunk[0] == "@" else HASHTAG, m.group()))
+            continue
         for piece in _WORD_RE.findall(chunk):
             tokens.append((WORD, piece))
     return tokens
 
 
-def _words(text: str, emoticons: frozenset = frozenset()) -> list[str]:
-    return [tok for kind, tok in tokenize(text, emoticons) if kind == WORD]
+# -- one read of a user's tweets ---------------------------------------------------
+
+
+class Authored(NamedTuple):
+    """One tweet the user wrote (not a retweet), read once for the text and
+    sentiment families."""
+
+    tweet: Tweet
+    text_low: str
+    tokens: list[tuple[str, str]]
+    words: list[str]
+    low_words: list[str]
+    day: int  # UTC day index
+    pos: float  # summed sentiment weights of the words
+    neg: float
+    entities: list[str]  # sorted names of the entities the tweet mentions
+
+
+def read_authored(tweets: list[Tweet], lex: Lexicons) -> list[Authored]:
+    """One record per authored tweet of one user's tweets, in their order.
+
+    The entities are the configured entity lexicon plus every hashtag of the
+    user's authored tweets, a hashtag being its own single alias. A tweet
+    mentions an entity when one of its aliases is a substring of the
+    lowercased text or equals one of the tweet's lowercased hashtags.
+    """
+    if not lex.sentiment:
+        raise MissingLexicon("sentiment lexicon is empty")
+    mine = [t for t in tweets if t.retweet_of is None]
+    named: dict[str, set[str]] = defaultdict(set)  # alias -> entities it names
+    for name, aliases in lex.entities.items():
+        for alias in aliases:
+            named[alias].add(name)
+    for t in mine:
+        for h in t.hashtags:
+            named[h.lower()].add(h.lower())
+
+    authored = []
+    for t in mine:
+        tokens = tokenize(t.text, lex.emoticons)
+        words = [tok for kind, tok in tokens if kind == WORD]
+        low = [w.lower() for w in words]
+        pos = neg = 0.0
+        for w in low:
+            scores = lex.sentiment.get(w)
+            if scores:
+                pos += scores[0]
+                neg += scores[1]
+        text_low = t.text.lower()
+        tags = {h.lower() for h in t.hashtags}
+        hits: set[str] = set()
+        for alias, names in named.items():
+            if alias in text_low or alias in tags:
+                hits |= names
+        authored.append(
+            Authored(t, text_low, tokens, words, low, t.created_at // DAY, pos, neg, sorted(hits))
+        )
+    return authored
 
 
 # -- profile family ------------------------------------------------------------
-
-_PROFILE_FIELDS = (
-    "screen_name",
-    "name",
-    "created_at",
-    "tweet_count",
-    "favourites_count",
-    "followers_count",
-    "friends_count",
-    "location",
-    "time_zone",
-    "protected",
-    "verified",
-)
-
 
 _CHAR_CLASSES = ("punctuation", "digit", "alpha", "upper", "lower", "greek", "emoji")
 
@@ -237,7 +278,7 @@ def profile_features(snapshot: UserSnapshot | None, klass: UserClass) -> dict:
     if snapshot is None:
         return {f: out.get(f) for f in FEATURE_FIELDS[_PROFILE_SLICE]}
 
-    for f in _PROFILE_FIELDS:
+    for f in _PROFILE_COPIED:
         out[f] = getattr(snapshot, f)
     out["lang"] = snapshot.ui_lang
     out["user_url"] = snapshot.profile_url
@@ -281,16 +322,6 @@ def activity_features(
     seen = len(tweets)
     times = [t.created_at for t in tweets]
     top = [t for t in tweets if t.retweet_of is None and t.reply_to is None]
-    rts = [t for t in tweets if t.retweet_of is not None]
-    replies = [t for t in tweets if t.reply_to is not None]
-
-    def gaps(seq: list[Tweet]) -> list[int]:
-        return [b.created_at - a.created_at for a, b in zip(seq, seq[1:])]
-
-    all_gaps = gaps(tweets)
-    top_gaps = gaps(top)
-    rt_gaps = gaps(rts)
-    reply_gaps = gaps(replies)
 
     sources = Counter(t.source_client for t in tweets)
     per_day = Counter(ts // DAY for ts in times)
@@ -310,27 +341,28 @@ def activity_features(
         "seen_total": seen,
         "total_inferred": seen + gone,
         "seen_greek_total": sum(1 for t in tweets if t.lang == TARGET_LANG),
-        "all_intervals": interval_histogram(all_gaps),
         "seen_top_tweets": len(top),
         "top_tweets_pcnt": _pcnt(len(top), seen),
-        "top_intervals": interval_histogram(top_gaps),
-        "rt_intervals": interval_histogram(rt_gaps),
-        "reply_intervals": interval_histogram(reply_gaps),
         "plain_tweets": sum(
             1
             for t in tweets
             if t.retweet_of is None and not t.hashtags and not t.mentions and not t.urls
         ),
         "most_used_sources": top_counts(sources, len(sources)),
-        "time_between_any": five_stats(all_gaps),
-        "time_between_top": five_stats(top_gaps),
-        "time_between_rt": five_stats(rt_gaps),
-        "time_between_replies": five_stats(reply_gaps),
         "max_daily_interval": five_stats(sorted(day_gaps.values())),
         "last_tweeted_at": times[-1] if times else None,
         "tweets_per_hour_of_day": {h: per_hour.get(h, 0) for h in range(24)},
         "tweets_per_weekday": {d: per_weekday.get(d, 0) for d in range(7)},
     }
+    for hist, stats, seq in (
+        ("all_intervals", "time_between_any", tweets),
+        ("top_intervals", "time_between_top", top),
+        ("rt_intervals", "time_between_rt", [t for t in tweets if t.retweet_of is not None]),
+        ("reply_intervals", "time_between_replies", [t for t in tweets if t.reply_to is not None]),
+    ):
+        gaps = [b.created_at - a.created_at for a, b in zip(seq, seq[1:])]
+        out[hist] = interval_histogram(gaps)
+        out[stats] = five_stats(gaps)
 
     # Account lifetime runs from creation to the last seen tweet; when no
     # snapshot ever arrived the first seen tweet stands in for creation.
@@ -364,12 +396,9 @@ def activity_features(
     else:
         out["tweets_per_day"] = None
 
-    if times:
-        cutoff = times[-1] - LAST_MONTH_SPAN
-        month_hours = Counter(_hour(ts) for ts in times if ts >= cutoff)
-        out["last_month"] = {h: month_hours.get(h, 0) for h in range(24)}
-    else:
-        out["last_month"] = {h: 0 for h in range(24)}
+    cutoff = times[-1] - LAST_MONTH_SPAN if times else 0
+    month_hours = Counter(_hour(ts) for ts in times if ts >= cutoff)
+    out["last_month"] = {h: month_hours.get(h, 0) for h in range(24)}
     return out
 
 
@@ -379,7 +408,7 @@ Adjacency = dict[str, tuple[dict[UserId, Counter], dict[UserId, Counter]]]
 
 
 def build_adjacency(graphs: Mapping[str, InteractionGraph]) -> Adjacency:
-    """Per-user out/in weight maps for each interaction kind."""
+    """Per-user out/in weight maps for each graph."""
     adj: Adjacency = {}
     for kind, g in graphs.items():
         out: dict[UserId, Counter] = defaultdict(Counter)
@@ -518,89 +547,58 @@ def relation_features(
 # -- text family ------------------------------------------------------------------
 
 
-def _url_host(expanded: str) -> str | None:
-    try:
-        return urlsplit(expanded).hostname
-    except ValueError:
-        return None
+def _url_hosts(tweets: Iterable[Tweet]) -> Counter:
+    """Hosts of the tweets' expanded URLs; an unparsable URL has none."""
+    hosts: Counter = Counter()
+    for t in tweets:
+        for _, expanded in t.urls:
+            try:
+                host = urlsplit(expanded).hostname
+            except ValueError:
+                continue
+            if host:
+                hosts[host] += 1
+    return hosts
 
 
-def text_features(tweets: list[Tweet], lex: Lexicons, screen_name: str | None) -> dict:
-    """Lexical statistics over authored text.
+def text_features(
+    tweets: list[Tweet], authored: list[Authored], lex: Lexicons, screen_name: str | None
+) -> dict:
+    """Lexical statistics over authored text: a fold over the records that
+    read_authored made of tweets.
 
     Retweets carry someone else's words, so they are excluded from every
     word, character and sentiment-adjacent count here; only the *_rt_*
     hashtag and URL fields look at them. Uniqueness and most_common_* are
     lowercased; capitalization stats use the raw tokens.
     """
-    authored = [t for t in tweets if t.retweet_of is None]
     rts = [t for t in tweets if t.retweet_of is not None]
-    n_authored = len(authored)
-    seen = len(tweets)
-
     word_counts: Counter = Counter()
     bigram_counts: Counter = Counter()
-    wptw: list[int] = []
-    total_words = 0
-    total_bigrams = 0
-    all_caps_words = 0
-    nocaps_words = 0
-    token_total = 0
-    emoticon_hits = 0
-    lexicon_hits = {"articles": 0, "pronouns": 0, "expletives": 0, "locations": 0}
-    all_caps_tweets = 0
-    total_chars = 0
     char_counts: Counter = Counter()  # every character of authored text
+    hashtags: Counter = Counter()
+    all_caps_words = nocaps_words = all_caps_tweets = 0
     gender_hits = {"m": 0, "f": 0}
-
-    for t in authored:
-        toks = tokenize(t.text, lex.emoticons)
-        token_total += len(toks)
-        words = [tok for kind, tok in toks if kind == WORD]
-        emoticon_hits += sum(1 for kind, _ in toks if kind == EMOTICON)
-        low = [w.lower() for w in words]
-        word_counts.update(low)
-        total_words += len(words)
-        wptw.append(len(words))
-        for a, b in zip(low, low[1:]):
-            bigram_counts[a + " " + b] += 1
-            total_bigrams += 1
-        all_caps_words += sum(1 for w in words if len(w) > 1 and w.isupper())
-        nocaps_words += sum(1 for w in words if not any(map(str.isupper, w)))
-        for name in lexicon_hits:
-            vocab = getattr(lex, name)
-            lexicon_hits[name] += sum(1 for w in low if w in vocab)
-        if t.text.isupper():
-            all_caps_tweets += 1
-        total_chars += len(t.text)
-        char_counts.update(t.text)
-        text_low = t.text.lower()
+    for a in authored:
+        word_counts.update(a.low_words)
+        bigram_counts.update(map(" ".join, zip(a.low_words, a.low_words[1:])))
+        all_caps_words += sum(1 for w in a.words if len(w) > 1 and w.isupper())
+        nocaps_words += sum(1 for w in a.words if not any(map(str.isupper, w)))
+        all_caps_tweets += a.tweet.text.isupper()
+        char_counts.update(a.tweet.text)
         for pattern, g in lex.gender_patterns:
-            gender_hits[g] += text_low.count(pattern)
+            gender_hits[g] += a.text_low.count(pattern)
+        hashtags.update(h.lower() for h in a.tweet.hashtags)
 
     chars = _char_classes(char_counts)
-
-    hashtags = Counter(h.lower() for t in authored for h in t.hashtags)
+    wptw = [len(a.words) for a in authored]
+    total_words = sum(wptw)
+    total_bigrams = sum(bigram_counts.values())
+    total_chars = sum(char_counts.values())
+    hashtags_ptw = [len(a.tweet.hashtags) for a in authored]
+    urls_ptw = [len(a.tweet.urls) for a in authored]
+    hosts = _url_hosts(a.tweet for a in authored)
     rt_hashtags = Counter(h.lower() for t in rts for h in t.hashtags)
-    hosts = Counter()
-    edit_distances: list[int] = []
-    url_total = 0
-    urls_ptw: list[int] = []
-    for t in authored:
-        urls_ptw.append(len(t.urls))
-        url_total += len(t.urls)
-        for _, expanded in t.urls:
-            host = _url_host(expanded)
-            if host:
-                hosts[host] += 1
-                if screen_name:
-                    edit_distances.append(levenshtein(host, screen_name.lower()))
-    rt_hosts = Counter()
-    for t in rts:
-        for _, expanded in t.urls:
-            host = _url_host(expanded)
-            if host:
-                rt_hosts[host] += 1
 
     stopped = lex.stopwords
     common_words = Counter({w: n for w, n in word_counts.items() if w not in stopped})
@@ -612,145 +610,89 @@ def text_features(tweets: list[Tweet], lex: Lexicons, screen_name: str | None) -
         }
     )
 
-    langs = Counter(t.lang for t in authored if t.lang != "und")
-    total_gender = gender_hits["m"] + gender_hits["f"]
+    langs = Counter(a.tweet.lang for a in authored if a.tweet.lang != "und")
+    total_gender = sum(gender_hits.values())
+    min_wptw, _, avg_wptw, med_wptw, std_wptw = five_stats(wptw) or (None,) * 5
 
     out = {
         "total_words": total_words,
-        "min_wptw": float(min(wptw)) if wptw else None,
-        "avg_wptw": statistics.fmean(wptw) if wptw else None,
-        "med_wptw": float(statistics.median(wptw)) if wptw else None,
-        "std_wptw": statistics.pstdev(wptw) if wptw else None,
+        "min_wptw": min_wptw,
+        "avg_wptw": avg_wptw,
+        "med_wptw": med_wptw,
+        "std_wptw": std_wptw,
         "unique_words": len(word_counts),
         "lex_freq": _ratio(len(word_counts), total_words),
         "total_bigrams": total_bigrams,
         "unique_bigrams": len(bigram_counts),
         "bigram_lex_freq": _ratio(len(bigram_counts), total_bigrams),
-        "articles": lexicon_hits["articles"],
-        "pronouns": lexicon_hits["pronouns"],
-        "expletives": lexicon_hits["expletives"],
-        "locations": lexicon_hits["locations"],
-        "emoticons": emoticon_hits,
+        "emoticons": sum(1 for a in authored for kind, _ in a.tokens if kind == EMOTICON),
         "emoji": chars["emoji"],
-        "alltokens": token_total,
+        "alltokens": sum(len(a.tokens) for a in authored),
         "all_caps_words": all_caps_words,
         "all_caps_words_pcnt": _pcnt(all_caps_words, total_words),
         "all_caps_tweets": all_caps_tweets,
-        "all_caps_tweets_pcnt": _pcnt(all_caps_tweets, seen),
+        "all_caps_tweets_pcnt": _pcnt(all_caps_tweets, len(tweets)),
         "all_nocaps_words": nocaps_words,
         "all_nocaps_words_pcnt": _pcnt(nocaps_words, total_words),
-        "punctuation_chars": chars["punctuation"],
-        "punctuation_pcnt": _pcnt(chars["punctuation"], total_chars),
         "total_chars": total_chars,
-        "digit_chars": chars["digit"],
-        "digit_pcnt": _pcnt(chars["digit"], total_chars),
-        "alpha_chars": chars["alpha"],
-        "alpha_pcnt": _pcnt(chars["alpha"], total_chars),
-        "upper_chars": chars["upper"],
-        "upper_pcnt": _pcnt(chars["upper"], total_chars),
-        "lower_chars": chars["lower"],
-        "lower_pcnt": _pcnt(chars["lower"], total_chars),
-        "greek_chars": chars["greek"],
-        "greek_pcnt": _pcnt(chars["greek"], total_chars),
-        "total_hashtags": sum(len(t.hashtags) for t in authored),
-        "hashtags_per_tw": five_stats([len(t.hashtags) for t in authored]),
+        "total_hashtags": sum(hashtags_ptw),
+        "hashtags_per_tw": five_stats(hashtags_ptw),
         "uniq_hashtags": len(hashtags),
-        "total_rt_hashtags": sum(len(t.hashtags) for t in rts),
+        "total_rt_hashtags": sum(rt_hashtags.values()),
         "uniq_rt_hashtags": len(rt_hashtags),
         "most_common_words": top_counts(common_words),
         "most_common_bigrams": top_counts(common_bigrams),
         "most_common_hashtags": top_counts(hashtags),
         "most_common_rt_hashtags": top_counts(rt_hashtags),
         "most_common_urls": top_counts(hosts),
-        "most_common_rt_urls": top_counts(rt_hosts),
-        "seen_urls": url_total,
+        "most_common_rt_urls": top_counts(_url_hosts(rts)),
+        "seen_urls": sum(urls_ptw),
         "urls_per_tw": five_stats(urls_ptw),
-        "avg_edit_distance": statistics.fmean(edit_distances) if edit_distances else None,
-        "lexical_gender": (
-            {
-                "m": _pcnt(gender_hits["m"], total_gender),
-                "f": _pcnt(gender_hits["f"], total_gender),
-            }
-            if total_gender
+        "avg_edit_distance": (
+            statistics.fmean(levenshtein(h, screen_name.lower()) for h in hosts.elements())
+            if screen_name and hosts
             else None
+        ),
+        "lexical_gender": (
+            {g: _pcnt(n, total_gender) for g, n in gender_hits.items()} if total_gender else None
         ),
         "number_of_languages": len(langs),
         "tweets_per_language": top_counts(langs, LANG_TOP_K),
     }
+    for cls in ("punctuation", "digit", "alpha", "upper", "lower", "greek"):
+        out[f"{cls}_chars"] = chars[cls]
+        out[f"{cls}_pcnt"] = _pcnt(chars[cls], total_chars)
+    for name in ("articles", "pronouns", "expletives", "locations"):
+        vocab = getattr(lex, name)
+        out[name] = sum(n for w, n in word_counts.items() if w in vocab)
     return out
 
 
 # -- sentiment family ---------------------------------------------------------------
 
 
-def tweet_sentiment(text: str, lex: Lexicons) -> tuple[float, float]:
-    """Summed positive and negative weights of matched lexicon words."""
-    pos = neg = 0.0
-    for w in _words(text, lex.emoticons):
-        scores = lex.sentiment.get(w.lower())
-        if scores:
-            pos += scores[0]
-            neg += scores[1]
-    return pos, neg
-
-
-def _entity_inventory(lex: Lexicons, tweets: list[Tweet]) -> dict[str, set[str]]:
-    # The configured entity lexicon, plus every hashtag this user touched;
-    # a hashtag entity is its own single alias.
-    inventory: dict[str, set[str]] = {name: set(al) for name, al in lex.entities.items()}
-    for t in tweets:
-        for h in t.hashtags:
-            inventory.setdefault(h.lower(), set()).add(h.lower())
-    return inventory
-
-
-def sentiment_features(tweets: list[Tweet], lex: Lexicons) -> dict:
+def sentiment_features(authored: list[Authored]) -> dict:
     """Daily sentiment timeseries plus per-entity sentiment and co-mentions.
 
     A day's positive mean covers only tweets that actually matched a
     positive word that day (likewise negative); days with no matches do not
-    appear. Entities are matched by alias substring in the lowercased text
-    or by hashtag equality.
+    appear. Scores and entity hits are those read_authored put in each
+    record.
     """
-    if not lex.sentiment:
-        raise MissingLexicon("sentiment lexicon is empty")
-    authored = [t for t in tweets if t.retweet_of is None]
-
     day_pos: dict[str, list[float]] = defaultdict(list)
     day_neg: dict[str, list[float]] = defaultdict(list)
-    scores: dict[TweetId, tuple[float, float]] = {}
-    for t in authored:
-        pos, neg = tweet_sentiment(t.text, lex)
-        scores[t.id] = (pos, neg)
-        day = _day_iso(t.created_at // DAY)
-        if pos > 0:
-            day_pos[day].append(pos)
-        if neg > 0:
-            day_neg[day].append(neg)
-
-    inventory = _entity_inventory(lex, authored)
-    node_w: Counter = Counter()
-    edge_w: Counter = Counter()
     ent_pos: dict[str, list[float]] = defaultdict(list)
     ent_neg: dict[str, list[float]] = defaultdict(list)
-    for t in authored:
-        text_low = t.text.lower()
-        tags = {h.lower() for h in t.hashtags}
-        hit = sorted(
-            name
-            for name, aliases in inventory.items()
-            if any(a in text_low for a in aliases) or aliases & tags
-        )
-        pos, neg = scores[t.id]
-        for name in hit:
-            node_w[name] += 1
-            if pos > 0:
-                ent_pos[name].append(pos)
-            if neg > 0:
-                ent_neg[name].append(neg)
-        for i, a in enumerate(hit):
-            for b in hit[i + 1 :]:
-                edge_w[a + "|" + b] += 1
+    node_w: Counter = Counter()
+    edge_w: Counter = Counter()
+    for a in authored:
+        for score, by_day, by_entity in ((a.pos, day_pos, ent_pos), (a.neg, day_neg, ent_neg)):
+            if score > 0:
+                by_day[_day_iso(a.day)].append(score)
+                for name in a.entities:
+                    by_entity[name].append(score)
+        node_w.update(a.entities)
+        edge_w.update(x + "|" + y for x, y in combinations(a.entities, 2))
 
     return {
         "daily_sentiment": {
@@ -951,22 +893,18 @@ FEATURE_FIELDS: tuple[str, ...] = (
 
 # the profile family's fields: every one of them reads missing without a snapshot
 _PROFILE_SLICE = slice(FEATURE_FIELDS.index("screen_name"), FEATURE_FIELDS.index("seen_total"))
+# those of them that name a snapshot field hold its value as it is
+_PROFILE_COPIED = tuple(f for f in FEATURE_FIELDS[_PROFILE_SLICE] if f in UserSnapshot.__slots__)
 
 
 @dataclass
 class _Context:
     """Whole-corpus state shared by every vector at one (window, store) state."""
 
-    t_from: Timestamp | None
-    t_to: Timestamp
-    mutations: int
+    key: tuple  # (t_from, t_to, store mutations)
     tweets_by_author: dict[UserId, list[Tweet]]
-    adj: Adjacency
+    adj: Adjacency  # the interaction graphs, the favorite graph and the follow graph
     replies_to: dict[UserId, Counter]
-    fr: dict[UserId, set[UserId]]
-    fo: dict[UserId, set[UserId]]
-    fav_in: dict[UserId, Counter]
-    fav_out: dict[UserId, Counter]
     vectors: dict[UserId, dict] = field(default_factory=dict)
 
 
@@ -987,10 +925,9 @@ class Vectorizer:
     # -- shared state --------------------------------------------------------
 
     def _context(self, t_from: Timestamp | None, t_to: Timestamp) -> _Context:
-        ctx = self._ctx
         key = (t_from, t_to, self.store.mutations)
-        if ctx is not None and (ctx.t_from, ctx.t_to, ctx.mutations) == key:
-            return ctx
+        if self._ctx is not None and self._ctx.key == key:
+            return self._ctx
 
         lo = t_from if t_from is not None else -(1 << 62)
         corpus = [t for t in self.store.all_tweets() if lo <= t.created_at <= t_to]
@@ -1001,33 +938,19 @@ class Vectorizer:
             tweets.sort(key=lambda t: (t.created_at, t.id))
 
         present = follow_snapshot(self.store.follow_log, self.store.follow_scans, t_to)
-        fr: dict[UserId, set[UserId]] = defaultdict(set)
-        fo: dict[UserId, set[UserId]] = defaultdict(set)
-        for src, dst in present:
-            fr[src].add(dst)
-            fo[dst].add(src)
-
-        fav_in: dict[UserId, Counter] = defaultdict(Counter)
-        fav_out: dict[UserId, Counter] = defaultdict(Counter)
-        for f in self.store.all_favorites():
-            if f.observed_at <= t_to:
-                fav_in[f.tweet_author][f.user] += 1
-                fav_out[f.user][f.tweet_author] += 1
-
-        ctx = _Context(
-            t_from=t_from,
-            t_to=t_to,
-            mutations=self.store.mutations,
+        favorites = (f for f in self.store.all_favorites() if f.observed_at <= t_to)
+        graphs = {
+            **extract_interactions(corpus),
+            "favorite": favorite_graph(favorites),
+            "follow": InteractionGraph("follow", dict.fromkeys(present, 1)),
+        }
+        self._ctx = _Context(
+            key=key,
             tweets_by_author=dict(by_author),
-            adj=build_adjacency(extract_interactions(corpus)),
+            adj=build_adjacency(graphs),
             replies_to=reply_targets(corpus),
-            fr=dict(fr),
-            fo=dict(fo),
-            fav_in=dict(fav_in),
-            fav_out=dict(fav_out),
         )
-        self._ctx = ctx
-        return ctx
+        return self._ctx
 
     # -- public API ------------------------------------------------------------
 
@@ -1063,6 +986,7 @@ class Vectorizer:
         klass = self.store.user_class(u)
         state = self.store.crawl_states.get(u)
         tweets = ctx.tweets_by_author.get(u, [])
+        authored = read_authored(tweets, self.lex)
 
         merged: dict = {"id": u, "vector_timestamp": as_of}
         merged.update(profile_features(snapshot, klass))
@@ -1077,17 +1001,17 @@ class Vectorizer:
         merged.update(
             interaction_features(u, ctx.adj, tweets, ctx.replies_to.get(u))
         )
-        fr = ctx.fr.get(u, set())
-        fo = ctx.fo.get(u, set())
+        friends, followers = ctx.adj["follow"]
+        fr, fo = set(friends.get(u, ())), set(followers.get(u, ()))
         classes = {v: self.store.user_class(v) for v in fr | fo}
         classes[u] = klass
+        fav_out, fav_in = ctx.adj["favorite"]
         merged.update(
-            relation_features(
-                u, fr, fo, classes, state, ctx.fav_in.get(u), ctx.fav_out.get(u)
-            )
+            relation_features(u, fr, fo, classes, state, fav_in.get(u), fav_out.get(u))
         )
-        merged.update(text_features(tweets, self.lex, snapshot.screen_name if snapshot else None))
-        merged.update(sentiment_features(tweets, self.lex))
+        screen_name = snapshot.screen_name if snapshot else None
+        merged.update(text_features(tweets, authored, self.lex, screen_name))
+        merged.update(sentiment_features(authored))
 
         vector = {f: merged[f] for f in FEATURE_FIELDS}
         ctx.vectors[u] = vector

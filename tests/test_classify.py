@@ -1,6 +1,9 @@
+from collections import Counter
+
 import pytest
 from hypothesis import given, strategies as st
 
+from langcrawl import classify
 from langcrawl.classify import (
     ClassifierConfig,
     LangStats,
@@ -169,6 +172,24 @@ def test_run_classification_is_idempotent():
     again = run_classification(store, CFG, NAMES, now=20)
     assert again.transitions == []
     assert store.mutations == mutations
+
+
+def test_run_classification_reads_each_users_counts_once(monkeypatch):
+    store = Store()
+    nid = el_tweets(store, 1, 150)
+    nid = en_tweets(store, 3, 50, nid)      # tracked and undecided: in all three passes
+    store.set_class(3, UserClass.TRACKED, 0)
+    store.set_class(4, UserClass.TRACKED, 0)  # tracked, nothing stored yet
+    calls = Counter()
+    real = classify.lang_stats
+
+    def counting(store, u, target_lang):
+        calls[u] += 1
+        return real(store, u, target_lang)
+
+    monkeypatch.setattr(classify, "lang_stats", counting)
+    run_classification(store, CFG, NAMES, now=10)
+    assert calls == {1: 1, 3: 1, 4: 1}
 
 
 def test_target_is_sticky_against_later_drift():

@@ -7,8 +7,9 @@ from collections import Counter
 from datetime import datetime, timezone
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
+from langcrawl import vectorize
 from langcrawl.graphmine import extract_interactions
 from langcrawl.lexicons import EMOJI_RANGES, TARGET_SCRIPT_RANGES, Lexicons, load_default
 from langcrawl.model import CrawlState, Tweet, UserClass, UserSnapshot
@@ -28,13 +29,13 @@ from langcrawl.vectorize import (
     interval_histogram,
     levenshtein,
     profile_features,
+    read_authored,
     relation_features,
     reply_targets,
     sentiment_features,
     text_features,
     tokenize,
     top_counts,
-    tweet_sentiment,
     _char_classes,
     _day_iso,
     _hour,
@@ -368,9 +369,13 @@ def test_relation_greek_flag():
 # -- text ----------------------------------------------------------------------
 
 
+def text(tweets, screen_name):
+    return text_features(tweets, read_authored(tweets, LEX), LEX, screen_name)
+
+
 def test_text_word_and_bigram_counts():
     tweets = [tw(1, text="a b"), tw(2, text="a b")]
-    out = text_features(tweets, LEX, "user1")
+    out = text(tweets, "user1")
     assert out["total_words"] == 4
     assert out["unique_words"] == 2
     assert out["lex_freq"] == pytest.approx(0.5)
@@ -382,7 +387,7 @@ def test_text_word_and_bigram_counts():
 def test_text_caps_stats():
     # "𝐀" is upper case, yet it is its own .lower()
     tweets = [tw(1, text="ΓΕΙΑ ΣΑΣ"), tw(2, text="γεια"), tw(3, text="𝐀")]
-    out = text_features(tweets, LEX, None)
+    out = text(tweets, None)
     assert out["all_caps_tweets"] == 2
     assert out["all_caps_tweets_pcnt"] == pytest.approx(200 / 3)
     assert out["all_caps_words"] == 2
@@ -395,7 +400,7 @@ def test_text_lexicon_hits_and_gender():
         tw(1, text="the damn thing in αθήνα"),
         tw(2, text="μανούλα μου"),
     ]
-    out = text_features(tweets, LEX, None)
+    out = text(tweets, None)
     assert out["articles"] == 1
     assert out["expletives"] == 1
     assert out["locations"] == 1
@@ -403,7 +408,7 @@ def test_text_lexicon_hits_and_gender():
 
 
 def test_text_gender_none_without_hits():
-    out = text_features([tw(1, text="nothing here")], LEX, None)
+    out = text([tw(1, text="nothing here")], None)
     assert out["lexical_gender"] is None
 
 
@@ -412,7 +417,7 @@ def test_text_hashtags_and_urls_split_by_retweet():
         tw(1, hashtags=("pao", "Gate13"), urls=(("t.co/a", "http://x.gr/a"),)),
         tw(2, retweet_of=(9, 9), hashtags=("pao",), urls=(("t.co/b", "http://y.gr/b"),)),
     ]
-    out = text_features(tweets, LEX, None)
+    out = text(tweets, None)
     assert out["total_hashtags"] == 2
     assert out["uniq_hashtags"] == 2
     assert out["total_rt_hashtags"] == 1
@@ -428,14 +433,14 @@ def test_text_hashtags_and_urls_split_by_retweet():
 
 def test_text_most_common_words_skip_stopwords():
     tweets = [tw(1, text="the cat the cat dog")]
-    out = text_features(tweets, LEX, None)
+    out = text(tweets, None)
     assert out["most_common_words"][0] == ["cat", 2]
     assert all(w != "the" for w, _ in out["most_common_words"])
 
 
 def test_text_edit_distance_to_screen_name():
     tweets = [tw(1, urls=(("t.co/a", "http://maria3.gr/x"),))]
-    out = text_features(tweets, LEX, "Maria3")
+    out = text(tweets, "Maria3")
     # host "maria3.gr" vs handle "maria3": three extra characters
     assert out["avg_edit_distance"] == pytest.approx(3.0)
 
@@ -443,7 +448,7 @@ def test_text_edit_distance_to_screen_name():
 def test_text_languages():
     tweets = [tw(1, lang="el"), tw(2, lang="en"), tw(3, lang="und"),
               tw(4, lang="el", retweet_of=(9, 9))]
-    out = text_features(tweets, LEX, None)
+    out = text(tweets, None)
     assert out["number_of_languages"] == 2
     assert out["tweets_per_language"] == [["el", 1], ["en", 1]]
 
@@ -451,14 +456,18 @@ def test_text_languages():
 # -- sentiment -----------------------------------------------------------------
 
 
+def sentiment(tweets):
+    return sentiment_features(read_authored(tweets, LEX))
+
+
 def test_tweet_sentiment_sums_weights():
-    assert tweet_sentiment("good good bad", LEX) == (4.0, 3.0)
-    assert tweet_sentiment("nothing", LEX) == (0.0, 0.0)
+    records = read_authored([tw(1, text="good good bad"), tw(2, text="nothing")], LEX)
+    assert [(a.pos, a.neg) for a in records] == [(4.0, 3.0), (0.0, 0.0)]
 
 
 def test_sentiment_requires_lexicon():
     with pytest.raises(MissingLexicon):
-        sentiment_features([tw(1)], Lexicons())
+        read_authored([tw(1)], Lexicons())
 
 
 def test_sentiment_daily_means_cover_matching_tweets_only():
@@ -468,7 +477,7 @@ def test_sentiment_daily_means_cover_matching_tweets_only():
         Tweet(id=2, author=1, created_at=d0 + 120, text="meh", lang="el"),
         Tweet(id=3, author=1, created_at=d0 + 86_400, text="bad", lang="el"),
     ]
-    out = sentiment_features(tweets, LEX)
+    out = sentiment(tweets)
     days = sorted(out["daily_sentiment"]["pos"])
     assert len(days) == 1
     assert out["daily_sentiment"]["pos"][days[0]] == pytest.approx(4.0)
@@ -480,7 +489,7 @@ def test_sentiment_entities_and_overlap():
         tw(1, text="pao is good", hashtags=()),
         tw(2, text="pao και αθήνα bad"),
     ]
-    out = sentiment_features(tweets, LEX)
+    out = sentiment(tweets)
     nodes = out["entity_overlap"]["nodes"]
     assert nodes["pao"] == 2 and nodes["αθήνα"] == 1
     assert out["entity_overlap"]["edges"] == {"pao|αθήνα": 1}
@@ -493,8 +502,66 @@ def test_sentiment_entities_and_overlap():
 def test_sentiment_own_hashtags_are_entities():
     tweets = [tw(1, text="retro day", hashtags=("gate13",)),
               tw(2, text="gate13 vibes good")]
-    out = sentiment_features(tweets, LEX)
+    out = sentiment(tweets)
     assert out["entity_overlap"]["nodes"]["gate13"] == 2
+
+
+def test_entity_hits_see_an_alias_nested_in_another():
+    # the simulator's hashtag "αθηνα" sits inside "παναθηναϊκός"
+    tweets = [tw(1, text="παναθηναϊκός", hashtags=("αθηνα",)), tw(2, text="ο Παναθηναϊκός")]
+    assert [a.entities for a in read_authored(tweets, LEX)] == [["pao", "αθηνα"]] * 2
+
+
+def reference_entity_hits(tweets, entities):
+    """Entity by entity: an alias is a substring of the lowercased text, or
+    the alias set meets the tweet's lowercased hashtags. Entities are the
+    lexicon's plus every authored hashtag, as its own single alias."""
+    authored = [t for t in tweets if t.retweet_of is None]
+    inventory = {name: set(aliases) for name, aliases in entities.items()}
+    for t in authored:
+        for h in t.hashtags:
+            inventory.setdefault(h.lower(), set()).add(h.lower())
+    hits = []
+    for t in authored:
+        text_low = t.text.lower()
+        tags = {h.lower() for h in t.hashtags}
+        hits.append(sorted(
+            name for name, aliases in inventory.items()
+            if any(a in text_low for a in aliases) or aliases & tags
+        ))
+    return hits
+
+
+# three letters, so that aliases nest in and overlap each other and the hashtags
+ALIAS = st.text("αθη", min_size=1, max_size=3)
+
+
+@given(
+    entities=st.dictionaries(
+        st.text("pαθ", min_size=1, max_size=3), st.lists(ALIAS, max_size=3).map(tuple), max_size=4
+    ),
+    posts=st.lists(
+        st.tuples(
+            st.text("αθηΑΘ #", max_size=12),
+            st.lists(st.text("αθηΑ", min_size=1, max_size=3), max_size=3).map(tuple),
+            st.booleans(),
+        ),
+        max_size=6,
+    ),
+)
+@example(
+    entities={"pao": ("pao", "παναθηναϊκός"), "αθηνα": ("αθηνα",)},
+    posts=[("παναθηναϊκός", ("αθηνα",), False), ("Παναθηναϊκός αθηνα", ("Αθηνα",), True),
+           ("αθηναθηνα", ("θην", "αθ"), False)],
+)
+def test_entity_hits_match_the_substring_and_hashtag_rule(entities, posts):
+    tweets = [
+        tw(i, text=text, hashtags=tags, retweet_of=(9, 9) if rt else None)
+        for i, (text, tags, rt) in enumerate(posts, 1)
+    ]
+    lex = Lexicons(sentiment={"θ": (1.0, 0.0)}, entities=entities)
+    records = read_authored(tweets, lex)
+    assert [a.entities for a in records] == reference_entity_hits(tweets, entities)
 
 
 # -- assembled vectors over a crawled store -------------------------------------
@@ -602,6 +669,25 @@ def test_store_write_invalidates_cache(vectorized, tmp_path):
     after = vec.assemble_vector(users[0], as_of)
     assert after is not before
     assert after["seen_total"] == before["seen_total"] + 1
+
+
+def test_export_tokenizes_each_authored_tweet_once(vectorized, tmp_path, monkeypatch):
+    world, store, _, as_of, users = vectorized
+    texts = []
+    real = vectorize.tokenize
+
+    def counting(text, emoticons=frozenset()):
+        texts.append(text)
+        return real(text, emoticons)
+
+    monkeypatch.setattr(vectorize, "tokenize", counting)
+    export_vectors(Vectorizer(store), users, as_of, tmp_path / "v.jsonl")
+    mine = set(users)
+    authored = sorted(
+        t.text for t in store.all_tweets()
+        if t.author in mine and t.created_at <= as_of and t.retweet_of is None
+    )
+    assert authored and sorted(texts) == authored
 
 
 def test_export_vectors_deterministic_and_ordered(vectorized, tmp_path):
