@@ -40,7 +40,6 @@ def run(planner: str, seed: int, min_staleness: int, drain: bool) -> tuple[int, 
     cfg = SchedulerConfig(
         planner=planner,
         loops=("tweets",),
-        drain=drain,
         min_staleness=min_staleness,
     )
     crawler = Crawler(w, store, RateLimiter(budgets), SimClock(w), cfg)

@@ -180,8 +180,7 @@ def cmd_crawl(args: argparse.Namespace) -> int:
     crawler = Crawler(world, store, RateLimiter(), SimClock(world), scfg, ccfg)
     crawler.run(world.cfg.start_time + int(manifest.horizon_days * DAY))
     world.frozen = True
-    if scfg.drain:
-        crawler.drain()
+    crawler.drain()
 
     store.save(paths["store"])
     with open(paths["runlog"], "a", encoding="utf-8") as fh:
@@ -246,14 +245,14 @@ def cmd_mine(args: argparse.Namespace) -> int:
     written = {}
     for kind in kinds:
         if kind in graphs:
-            edges = graphs[kind].edges
+            edges = graphs[kind]
         elif kind == "favorite":
-            edges = favorite_graph(store.all_favorites()).edges
+            edges = favorite_graph(store.all_favorites())
         elif kind == "lists":
-            edges = list_similarity(store.members_by_list()).edges
+            edges, _ = list_similarity(store.members_by_list())
         else:  # follow
             present = follow_snapshot(store.follow_log, store.follow_scans, _store_now(store))
-            edges = {e: 1 for e in sorted(present)}
+            edges = dict.fromkeys(present, 1)
         n = write_edges(edges, out_dir / f"edges_{kind}.txt")
         indeg, outdeg, und = degree_distributions(edges)
         write_degree_csv(indeg, out_dir / f"degree_{kind}_in.csv")

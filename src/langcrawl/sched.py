@@ -15,9 +15,10 @@ class transition its error implies (dead, suspended, protected), and its user
 goes back into the queue it came from, scan stamp unchanged, due when the
 next 900-second budget window opens. A user that keeps failing costs a loop
 at most one request per window and never holds up the users behind it. A
-failed list-members page sends its list back the same way. Under the
-roundrobin planner, kept as a baseline, a failed walk's user goes back to the
-end of the cycle, as after any other walk.
+failed list-members page sends its list back the same way, and a failed
+lookup batch goes back to the front of the lookup queue, which waits for the
+next window. Under the roundrobin planner, kept as a baseline, a failed
+walk's user goes back to the end of the cycle, as after any other walk.
 
 Everything runs single-threaded against a virtual clock; one orchestrator
 pass gives every loop at most one API request. Walks keep their own cursor
@@ -105,7 +106,6 @@ class SchedulerConfig:
     )
     keywords: tuple[str, ...] = ()  # empty -> target-language stopword lexicon
     places: tuple[str, ...] = ("Worldwide",)
-    drain: bool = True  # sweep every crawlable user once after the horizon
 
 
 def estimate_rate(
@@ -331,6 +331,7 @@ class Crawler:
         self._pending: dict[TweetId, _PendingRef] = {}
         self._lookup_queue: deque[TweetId] = deque()
         self._gone_retry: list[tuple[Timestamp, TweetId]] = []
+        self._lookup_wait: Timestamp = 0  # no lookup before this; set by a failed batch
         self._evidence: dict[UserId, set[TweetId]] = {}
 
         # per-user scan loops: endpoints, queue, fetch, take a page, commit
@@ -689,7 +690,7 @@ class Crawler:
             _, tid = heapq.heappop(self._gone_retry)
             if tid in self._pending:
                 self._lookup_queue.append(tid)
-        if not self._lookup_queue:
+        if not self._lookup_queue or now < self._lookup_wait:
             return False
         batch_size = self._page(Endpoint.STATUSES_LOOKUP)
         batch: list[TweetId] = []
@@ -712,8 +713,9 @@ class Crawler:
             self._lookup_queue.extendleft(reversed(batch))
             return False
         if status == _ERR:
-            # counted in the request log; the whole batch waits for a retry
+            # counted in the request log; the whole batch waits for the next window
             self._lookup_queue.extendleft(reversed(batch))
+            self._lookup_wait = _next_window(now)
             return True
         for tid in batch:
             ref = self._pending[tid]

@@ -32,7 +32,7 @@ from pathlib import Path
 from typing import Iterable, Mapping, NamedTuple
 from urllib.parse import urlsplit
 
-from .graphmine import InteractionGraph, extract_interactions, favorite_graph, follow_snapshot
+from .graphmine import Edges, extract_interactions, favorite_graph, follow_snapshot
 from .lexicons import (
     EMOJI_RANGES,
     TARGET_SCRIPT_RANGES,
@@ -407,13 +407,13 @@ def activity_features(
 Adjacency = dict[str, tuple[dict[UserId, Counter], dict[UserId, Counter]]]
 
 
-def build_adjacency(graphs: Mapping[str, InteractionGraph]) -> Adjacency:
+def build_adjacency(graphs: Mapping[str, Edges]) -> Adjacency:
     """Per-user out/in weight maps for each graph."""
     adj: Adjacency = {}
-    for kind, g in graphs.items():
+    for kind, edges in graphs.items():
         out: dict[UserId, Counter] = defaultdict(Counter)
         inc: dict[UserId, Counter] = defaultdict(Counter)
-        for (src, dst), w in g.edges.items():
+        for (src, dst), w in edges.items():
             out[src][dst] += w
             inc[dst][src] += w
         adj[kind] = (out, inc)
@@ -649,7 +649,10 @@ def text_features(
         "seen_urls": sum(urls_ptw),
         "urls_per_tw": five_stats(urls_ptw),
         "avg_edit_distance": (
-            statistics.fmean(levenshtein(h, screen_name.lower()) for h in hosts.elements())
+            # one distance per distinct host, weighted by its count: the same
+            # float as the mean over every URL occurrence
+            sum(levenshtein(h, screen_name.lower()) * n for h, n in hosts.items())
+            / sum(hosts.values())
             if screen_name and hosts
             else None
         ),
@@ -942,7 +945,7 @@ class Vectorizer:
         graphs = {
             **extract_interactions(corpus),
             "favorite": favorite_graph(favorites),
-            "follow": InteractionGraph("follow", dict.fromkeys(present, 1)),
+            "follow": dict.fromkeys(present, 1),
         }
         self._ctx = _Context(
             key=key,

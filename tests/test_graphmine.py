@@ -4,6 +4,8 @@ synthetic corpus, plus the file formats."""
 import random
 from collections import defaultdict
 
+from hypothesis import example, given, strategies as st
+
 from langcrawl.graphmine import (
     degree_distributions,
     extract_interactions,
@@ -63,8 +65,8 @@ def test_interaction_graphs_match_brute_force():
     graphs = extract_interactions(tweets)
     expected = brute_force_graphs(tweets)
     for kind in ("retweet", "mention", "reply", "quote"):
-        assert graphs[kind].edges == expected[kind], kind
-        assert graphs[kind].total_weight() == sum(expected[kind].values())
+        assert graphs[kind] == expected[kind], kind
+        assert sum(graphs[kind].values()) == sum(expected[kind].values())
 
 
 def test_retweets_contribute_no_mention_edges():
@@ -73,8 +75,8 @@ def test_retweets_contribute_no_mention_edges():
         retweet_of=(1, 5), mentions=(5, 7),
     )
     graphs = extract_interactions([t])
-    assert graphs["mention"].edges == {}
-    assert graphs["retweet"].edges == {(1, 5): 1}
+    assert graphs["mention"] == {}
+    assert graphs["retweet"] == {(1, 5): 1}
 
 
 def test_favorite_graph_counts_pairs():
@@ -83,8 +85,7 @@ def test_favorite_graph_counts_pairs():
         FavoriteRecord(user=1, tweet=11, tweet_author=2, observed_at=0),
         FavoriteRecord(user=3, tweet=10, tweet_author=2, observed_at=0),
     ]
-    g = favorite_graph(favs)
-    assert g.edges == {(1, 2): 2, (3, 2): 1}
+    assert favorite_graph(favs) == {(1, 2): 2, (3, 2): 1}
 
 
 def test_list_similarity_brute_force_and_cap():
@@ -94,8 +95,8 @@ def test_list_similarity_brute_force_and_cap():
         for lid in range(30)
     }
     members[99] = set(range(1000))  # over any sane cap
-    g = list_similarity(members, member_cap=100)
-    assert g.skipped_lists == [99]
+    edges, skipped = list_similarity(members, member_cap=100)
+    assert skipped == [99]
     expected = defaultdict(int)
     for lid, us in members.items():
         if lid == 99:
@@ -104,9 +105,9 @@ def test_list_similarity_brute_force_and_cap():
             for v in us:
                 if u < v:
                     expected[(u, v)] += 1
-    assert g.edges == dict(expected)
-    some_u, some_v = next(iter(expected))
-    assert g.weight(some_v, some_u) == expected[(some_u, some_v)]
+    assert edges == dict(expected)
+    # undirected: each pair is keyed once, smaller id first
+    assert all(u < v for u, v in edges)
 
 
 def test_follow_snapshot_latest_scan_wins():
@@ -136,17 +137,17 @@ def test_follow_snapshot_covered_by_either_endpoint():
 
 def test_degree_distributions_brute_force():
     tweets = synth_corpus(n_tweets=800, n_users=60, seed=3)
-    g = extract_interactions(tweets)["mention"]
-    ins, outs, und = degree_distributions(g.edges)
+    edges = extract_interactions(tweets)["mention"]
+    ins, outs, und = degree_distributions(edges)
     out_n = defaultdict(set)
     in_n = defaultdict(set)
     und_n = defaultdict(set)
-    for s, d in g.edges:
+    for s, d in edges:
         out_n[s].add(d)
         in_n[d].add(s)
         und_n[s].add(d)
         und_n[d].add(s)
-    everyone = g.vertices()
+    everyone = {u for edge in edges for u in edge}
 
     def hist(neigh):
         h = defaultdict(int)
@@ -160,15 +161,8 @@ def test_degree_distributions_brute_force():
     for h in (ins, outs, und):
         assert sum(h.values()) == len(everyone)
     # every directed adjacency appears once per side
-    assert sum(d * c for d, c in ins.items()) == len(g.edges)
-    assert sum(d * c for d, c in outs.items()) == len(g.edges)
-
-
-def test_degree_distributions_with_wider_universe():
-    ins, outs, und = degree_distributions({(1, 2): 1}, vertices={1, 2, 3, 4})
-    assert ins == {0: 3, 1: 1}
-    assert outs == {0: 3, 1: 1}
-    assert und == {0: 2, 1: 2}
+    assert sum(d * c for d, c in ins.items()) == len(edges)
+    assert sum(d * c for d, c in outs.items()) == len(edges)
 
 
 def tw(i, reply_to=None, author=1):
@@ -190,15 +184,35 @@ def test_thread_lengths_skips_replyless_roots_and_foreign_parents():
     assert lengths == {}
 
 
-def test_thread_lengths_root_filter():
-    corpus = [tw(1, author=1), tw(2, 1, author=2), tw(3, author=3), tw(4, 3)]
-    lengths = thread_lengths(corpus, root_filter=lambda t: t.author == 1)
-    assert lengths == {1: 2}
-
-
 def test_thread_lengths_deep_chain_no_recursion_limit():
     corpus = [tw(1)] + [tw(i, i - 1) for i in range(2, 3002)]
     assert thread_lengths(corpus) == {1: 3001}
+
+
+def brute_force_thread_lengths(tweets):
+    """Follow reply_to up from every tweet; a chain that ends on a stored
+    non-reply counts toward that root. A chain longer than the corpus has
+    entered a reply cycle and counts toward nothing."""
+    by_id = {t.id: t for t in tweets}
+    lengths = {}
+    for t in by_id.values():
+        chain, node = 1, t
+        while node.reply_to is not None and node.reply_to[0] in by_id and chain <= len(by_id):
+            node = by_id[node.reply_to[0]]
+            chain += 1
+        if node.reply_to is None and chain > 1:
+            lengths[node.id] = max(lengths.get(node.id, 0), chain)
+    return lengths
+
+
+# parents[i] is what tweet i + 1 replies to: None for a non-reply, an id past
+# the corpus for a foreign parent; cycles and self-replies come up by chance
+@given(st.lists(st.one_of(st.none(), st.integers(1, 24)), max_size=20))
+# 4 <-> 5 is a cycle with 10 hanging off it, 6 replies to itself, 9 to a foreign tweet
+@example([None, 1, 2, 5, 4, 6, None, 7, 20, 4])
+def test_thread_lengths_match_brute_force_with_cycles(parents):
+    corpus = [tw(i, p) for i, p in enumerate(parents, start=1)]
+    assert thread_lengths(corpus) == brute_force_thread_lengths(corpus)
 
 
 def test_write_edges_format(tmp_path):

@@ -1,6 +1,7 @@
 """Scheduler behavior on controlled single-user worlds: timeline-walk request
 arithmetic, the favorites walk's stop rule, rate estimation, ref seeding."""
 
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -18,7 +19,7 @@ def one_user_rig(seed=11, loops=("tweets",), **cfg_kw):
     uid = next(iter(w.users))
     store = Store()
     store.set_class(uid, UserClass.TRACKED, w.now)
-    cfg = SchedulerConfig(loops=loops, drain=False, min_staleness=0, **cfg_kw)
+    cfg = SchedulerConfig(loops=loops, min_staleness=0, **cfg_kw)
     crawler = Crawler(w, store, RateLimiter(), SimClock(w), cfg)
     return w, uid, store, crawler
 
@@ -132,7 +133,7 @@ def test_favorites_walk_captures_new_likes_then_stops_on_known():
 
     store = Store()
     store.set_class(liker, UserClass.TRACKED, w.now)
-    cfg = SchedulerConfig(loops=("favorites",), drain=False)
+    cfg = SchedulerConfig(loops=("favorites",))
     crawler = Crawler(w, store, RateLimiter(), SimClock(w), cfg)
 
     assert favorites_scan(crawler) == 2  # 200 + 190, short page ends the walk
@@ -160,7 +161,7 @@ def test_retweet_evidence_seeds_unknown_author():
 
     store = Store()
     store.set_class(tracked, UserClass.TRACKED, w.now)
-    cfg = SchedulerConfig(loops=("tweets", "lookup"), drain=False, min_staleness=0)
+    cfg = SchedulerConfig(loops=("tweets", "lookup"), min_staleness=0)
     crawler = Crawler(w, store, RateLimiter(), SimClock(w), cfg)
     crawler.run(w.now + 3600)
 
@@ -177,7 +178,7 @@ def test_too_little_evidence_does_not_seed():
 
     store = Store()
     store.set_class(tracked, UserClass.TRACKED, w.now)
-    cfg = SchedulerConfig(loops=("tweets", "lookup"), drain=False, min_staleness=0)
+    cfg = SchedulerConfig(loops=("tweets", "lookup"), min_staleness=0)
     crawler = Crawler(w, store, RateLimiter(), SimClock(w), cfg)
     crawler.run(w.now + 3600)
 
@@ -271,12 +272,28 @@ class FailFirstLookup:
         return self.world.statuses_lookup(ids)
 
 
-def test_lookup_error_requeues_batch():
-    w = World(
+class FailingLookup(FailFirstLookup):
+    """A World whose every statuses_lookup raises a transient ApiError."""
+
+    def statuses_lookup(self, ids):
+        self.failed = list(ids)
+        raise ApiError("transient")
+
+
+def lookup_world() -> World:
+    return World(
         WorldConfig(
             seed=5, n_users=80, community_fractions={"el": 0.6, "en": 0.4}, mixed_fraction=0.1
         )
     )
+
+
+def lookup_times(crawler) -> list[int]:
+    return [r["at"] for r in crawler.log if r["endpoint"] == "statuses_lookup"]
+
+
+def test_lookup_error_requeues_batch():
+    w = lookup_world()
     api = FailFirstLookup(w)
     store = Store()
     crawler = Crawler(api, store, RateLimiter(), SimClock(w), SchedulerConfig())
@@ -290,6 +307,46 @@ def test_lookup_error_requeues_batch():
         tid for tid in api.failed if store.get_tweet(tid) is None and tid not in crawler._pending
     ]
     assert not dropped
+
+
+def test_failed_lookup_batch_waits_for_next_window():
+    w = lookup_world()
+    crawler = Crawler(FailFirstLookup(w), Store(), RateLimiter(), SimClock(w), SchedulerConfig())
+    crawler.run(w.cfg.start_time + DAY)
+
+    failed_at, retry_at = lookup_times(crawler)[:2]
+    assert retry_at >= (failed_at // 900 + 1) * 900
+
+
+def test_persistent_lookup_failure_costs_one_request_per_window():
+    w = lookup_world()
+    crawler = Crawler(FailingLookup(w), Store(), RateLimiter(), SimClock(w), SchedulerConfig())
+    crawler.run(w.cfg.start_time + DAY)
+
+    per_window = Counter(at // 900 for at in lookup_times(crawler))
+    assert len(per_window) > 1
+    assert max(per_window.values()) == 1
+
+
+def test_drain_resolves_a_lookup_batch_that_failed():
+    w = lookup_world()
+    w.advance(3 * DAY)
+    w.frozen = True
+    store = Store()
+    # half the users, so that some referenced tweets only a lookup can fetch
+    for u in sorted(w.users)[::2]:
+        store.set_class(u, UserClass.TRACKED, w.now)
+    api = FailFirstLookup(w)
+    crawler = Crawler(api, store, RateLimiter(), SimClock(w), SchedulerConfig())
+    crawler.drain()
+
+    assert api.failed, "no lookup failed during drain"
+    failed_at, retry_at = lookup_times(crawler)[:2]
+    assert retry_at >= (failed_at // 900 + 1) * 900
+    assert not crawler._lookup_queue
+    for tid in api.failed:
+        # stored, or answered gone and waiting for its one later retry
+        assert store.get_tweet(tid) is not None or crawler._pending[tid].gone_at is not None
 
 
 class FailOnceAfter:
@@ -380,7 +437,7 @@ def test_transient_error_requeues_user_for_next_window(case):
         lists_recrawl_window=DAY,
         profile_refresh_window=DAY,
     )
-    cfg = SchedulerConfig(loops=loops, drain=False, **{**windows, **cfg_kw})
+    cfg = SchedulerConfig(loops=loops, **{**windows, **cfg_kw})
     api = FailOnceAfter(w, method, w.now + hour * HOURS, counted)
     crawler = Crawler(api, store, RateLimiter(), SimClock(w), cfg)
     crawler.run(w.now + 6 * DAY)
@@ -401,7 +458,7 @@ def test_transient_error_requeues_user_for_next_window(case):
 def test_roundrobin_keeps_user_whose_timeline_request_failed():
     w, store = tracked_world()
     cfg = SchedulerConfig(
-        loops=("tweets",), drain=False, planner="roundrobin", min_staleness=DAY
+        loops=("tweets",), planner="roundrobin", min_staleness=DAY
     )
     api = FailOnceAfter(w, "user_timeline", w.now, "user_timeline")
     crawler = Crawler(api, store, RateLimiter(), SimClock(w), cfg)
@@ -429,7 +486,7 @@ def test_walk_that_fetches_a_profile_keeps_its_user_in_the_profiles_queue():
     store = Store()
     for u in w.users:
         store.set_class(u, UserClass.TRACKED, w.now)
-    cfg = SchedulerConfig(loops=("tweets", "profiles"), drain=False)
+    cfg = SchedulerConfig(loops=("tweets", "profiles"))
     crawler = Crawler(w, store, RateLimiter(), SimClock(w), cfg)
     crawler.run(w.now + 3 * DAY)
 

@@ -445,6 +445,23 @@ def test_text_edit_distance_to_screen_name():
     assert out["avg_edit_distance"] == pytest.approx(3.0)
 
 
+def test_text_edit_distance_once_per_distinct_host(monkeypatch):
+    pairs = []
+    real = vectorize.levenshtein
+
+    def counting(a, b):
+        pairs.append((a, b))
+        return real(a, b)
+
+    monkeypatch.setattr(vectorize, "levenshtein", counting)
+    urls = ["http://maria3.gr/x", "http://maria3.gr/y", "http://ab.com/z"]
+    tweets = [tw(i, urls=(("t.co/a", u),)) for i, u in enumerate(urls, start=1)]
+    out = text(tweets, "Maria3")
+    assert sorted(pairs) == [("ab.com", "maria3"), ("maria3.gr", "maria3")]
+    # still the mean over every occurrence: (3 + 3 + 6) / 3
+    assert out["avg_edit_distance"] == 4.0
+
+
 def test_text_languages():
     tweets = [tw(1, lang="el"), tw(2, lang="en"), tw(3, lang="und"),
               tw(4, lang="el", retweet_of=(9, 9))]
