@@ -154,9 +154,6 @@ def daily_pass(
 class ClassificationReport:
     transitions: list[tuple[UserId, str, str]] = field(default_factory=list)
 
-    def count(self, old: UserClass, new: UserClass) -> int:
-        return sum(1 for _, o, n in self.transitions if o == old.value and n == new.value)
-
 
 def _apply(
     store: Store, report: ClassificationReport, u: UserId, new: UserClass, at: Timestamp

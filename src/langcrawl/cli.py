@@ -8,7 +8,8 @@ JSON line on stderr and exit nonzero.
 
 Store directory layout (created by `crawl`):
     <dir>/store/            collections, one JSONL file each; a save passes
-                            through store.tmp/ and store.old/ beside it
+                            through store.tmp/ and store.old/ beside it;
+                            `export <c>` copies <c>.jsonl without a Store
     <dir>/runlog.jsonl      request log, appended per crawl
     <dir>/ground_truth.jsonl  world state at the end of the crawl
     <dir>/manifest.json     resolved copy of the run manifest
@@ -39,7 +40,7 @@ from .graphmine import (
 from .model import UserClass, load_config
 from .sched import Crawler, SchedulerConfig, SimClock
 from .simnet import DAY, World, WorldConfig
-from .store import Store, dumps
+from .store import Store, dumps, finish_swap, read_collection
 from .vectorize import Vectorizer, export_vectors
 
 MINE_KINDS = ("retweet", "mention", "reply", "quote", "favorite", "lists", "follow")
@@ -340,14 +341,28 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 
 def cmd_export(args: argparse.Namespace) -> int:
-    store = _load_store(args.store, (args.collection,))
-    out = (
-        Path(args.out)
-        if args.out
-        else _store_paths(args.store)["report"] / f"{args.collection}.jsonl"
-    )
+    """Copy store/<c>.jsonl line by line, or with --ids-only the id fields of
+    each line's record. No record is built, so only each line's JSON is
+    checked."""
+    name = args.collection
+    if name not in Store.COLLECTIONS:
+        raise KeyError(name)
+    paths = _store_paths(args.store)
+    src = paths["store"] / f"{name}.jsonl"
+    out = Path(args.out) if args.out else paths["report"] / f"{name}.jsonl"
+    finish_swap(paths["store"])
+    if out.exists() and any(out.samefile(p) for p in paths["store"].glob("*.jsonl")):
+        raise ValueError(f"--out {out} is a file of the store")
+    keep = Store.ID_FIELDS.get(name) if args.ids_only else None
+    lines = read_collection(src) if src.exists() else ()
     out.parent.mkdir(parents=True, exist_ok=True)
-    n = store.export_collection(args.collection, out, ids_only=args.ids_only)
+    n = 0
+    with open(out, "w", encoding="utf-8") as fh:
+        for line, rec in lines:
+            if keep is not None:
+                line = dumps({f: rec[f] for f in keep})
+            fh.write(line + "\n")
+            n += 1
     print(json.dumps({"out": str(out), "lines": n}))
     return 0
 

@@ -302,7 +302,6 @@ class Crawler:
         clock: Clock,
         cfg: SchedulerConfig | None = None,
         ccfg: cls.ClassifierConfig | None = None,
-        lexicons: lex.Lexicons | None = None,
     ) -> None:
         self.api = api
         self.store = store
@@ -310,13 +309,8 @@ class Crawler:
         self.clock = clock
         self.cfg = cfg or SchedulerConfig()
         self.ccfg = ccfg or cls.ClassifierConfig()
-        self.lexicons = lexicons or lex.load_default()
-        self.common_names = (
-            cls.load_common_names(self.ccfg)
-            if self.ccfg.common_names_file
-            else self.lexicons.common_names
-        )
-        self.keywords = tuple(self.cfg.keywords) or tuple(sorted(self.lexicons.stopwords))
+        self.common_names = cls.load_common_names(self.ccfg)
+        self.keywords = tuple(self.cfg.keywords) or tuple(sorted(lex.load_default().stopwords))
         self.log: list[dict] = []
         cfg = self.cfg
 

@@ -30,6 +30,7 @@ from .apiface import (
     Cursor,
     Endpoint,
     GONE,
+    ListNotFound,
     LookupHit,
     LookupResult,
     PlaceUnknown,
@@ -49,6 +50,7 @@ from .model import (
     UserSnapshot,
     to_record,
 )
+from .store import dumps
 
 DAY = 86400
 DEFAULT_EPOCH = 1_470_009_600  # 2016-08-01 00:00 UTC
@@ -263,47 +265,6 @@ def _cumulative(profile: dict[str, float]) -> tuple[tuple[str, float], ...]:
         acc += profile[lang] / total
         out.append((lang, acc))
     return tuple(out)
-
-
-class GroundTruth:
-    """Read-only answers about what the world actually contains."""
-
-    def __init__(self, world: "World") -> None:
-        self._w = world
-
-    def community(self, u: UserId) -> str:
-        return self._w.users[u].community
-
-    def is_mixed(self, u: UserId) -> bool:
-        return u in self._w.mixed_users
-
-    def tweet_ids_of(self, u: UserId) -> list[TweetId]:
-        return list(self._w.users[u].tweet_ids)
-
-    def total_tweets(self, u: UserId) -> int:
-        return len(self._w.users[u].tweets)
-
-    def all_tweets(self) -> Iterable[Tweet]:
-        return iter(self._w.tweet_log)
-
-    def follow_edges(self) -> set[tuple[UserId, UserId]]:
-        return {
-            (u.uid, v) for u in self._w.users.values() for v in u.friends
-        }
-
-    def like_records(self) -> list[FavoriteRecord]:
-        return [
-            rec
-            for u in sorted(self._w.users)
-            for rec in self._w.users[u].likes.values()
-        ]
-
-    @property
-    def request_log(self) -> list[dict]:
-        return self._w.request_log
-
-    def user_ids(self) -> list[UserId]:
-        return sorted(self._w.users)
 
 
 class World:
@@ -748,9 +709,6 @@ class World:
         if status == "ok":
             self._schedule_next_event(self.users[u], float(self.now))
 
-    def ground_truth(self) -> GroundTruth:
-        return GroundTruth(self)
-
     # -- api surface --------------------------------------------------------------
 
     def _log(self, endpoint: Endpoint, target, outcome: str) -> None:
@@ -906,8 +864,6 @@ class World:
         return self._list_records(user.subscriptions)
 
     def lists_members(self, list_id: ListId, cursor: Cursor = None) -> tuple[list[UserId], Cursor]:
-        from .apiface import ListNotFound
-
         if list_id not in self.lists:
             self._log(Endpoint.LISTS_MEMBERS, list_id, "not_found")
             raise ListNotFound(str(list_id))
@@ -959,8 +915,6 @@ class World:
 
     def export_jsonl(self, path: str | Path) -> None:
         """Dump world structure for inspection; same seed gives identical bytes."""
-        from .store import dumps
-
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(dumps({"config": json.loads(self.cfg.to_json()), "now": self.now}) + "\n")
             for uid in sorted(self.users):

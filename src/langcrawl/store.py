@@ -10,6 +10,9 @@ writes them all into the sibling `<dir>.tmp/` and swaps it in by two
 renames, the old directory going aside as `<dir>.old/` until it is removed;
 `load` finishes a swap that a dying process left half done, so a crash
 mid-save leaves the old store or the new one, never a mix of the two.
+
+`read_collection` reads one saved file line by line. `load` builds records
+from it; `langcrawl export` copies its lines as they are.
 """
 from __future__ import annotations
 
@@ -22,7 +25,7 @@ import shutil
 from collections import Counter, defaultdict
 from dataclasses import fields
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 from . import model
 from .model import (
@@ -71,6 +74,21 @@ _DECODER = json.JSONDecoder()
 def dumps(rec: dict) -> str:
     """Canonical JSON line: sorted keys, no spaces, UTF-8 kept readable."""
     return _ENCODER.encode(rec)
+
+
+def read_collection(path: str | Path) -> Iterator[tuple[str, dict]]:
+    """Each non-empty line of a saved collection file, stripped, with its
+    record. A line that is not exactly one JSON value raises ValueError."""
+    with open(path, encoding="utf-8") as fh:
+        n = 0
+        for line in fh:
+            line = line.strip()
+            if line:
+                rec, end = _DECODER.raw_decode(line)
+                n += 1
+                if end != len(line):
+                    raise ValueError(f"{path}: data after record {n}")
+                yield line, rec
 
 
 class Store:
@@ -277,8 +295,8 @@ class Store:
 
     # -- import / export ---------------------------------------------------------------
 
-    # collection name -> (iter canonical records, insert record, ids-only projection)
-    def _collections(self) -> dict[str, tuple[Callable, Callable, Callable]]:
+    # collection name -> (iter canonical records, insert record)
+    def _collections(self) -> dict[str, tuple[Callable, Callable]]:
         return {
             "users": (
                 lambda: (
@@ -290,34 +308,28 @@ class Store:
                 lambda rec: self.snapshots[rec["id"]].append(
                     model.from_record(UserSnapshot, rec)
                 ),
-                lambda rec: {"id": rec["id"], "observed_at": rec["observed_at"]},
             ),
             "tweets": (
                 lambda: (model.to_record(self.tweets[i]) for i in sorted(self.tweets)),
                 lambda rec: self._import_tweet(model.from_record(Tweet, rec)),
-                lambda rec: {"id": rec["id"], "author": rec["author"]},
             ),
             "follow": (
                 lambda: (model.to_record(e) for e in self.follow_log),
                 lambda rec: self.append_follow(model.from_record(FollowEdge, rec)),
-                lambda rec: rec,
             ),
             "followscans": (
                 lambda: (model.to_record(s) for s in self.follow_scans),
                 lambda rec: self.record_follow_scan(model.from_record(FollowScan, rec)),
-                lambda rec: rec,
             ),
             "lists": (
                 lambda: (model.to_record(self.lists[i]) for i in sorted(self.lists)),
                 lambda rec: self.put_list(model.from_record(ListRecord, rec)),
-                lambda rec: {"id": rec["id"], "owner": rec["owner"]},
             ),
             "memberships": (
                 lambda: (
                     model.to_record(self.memberships[k]) for k in sorted(self.memberships)
                 ),
                 lambda rec: self.put_membership(model.from_record(ListMembership, rec)),
-                lambda rec: rec,
             ),
             "subscriptions": (
                 lambda: (
@@ -325,19 +337,16 @@ class Store:
                     for k in sorted(self.subscriptions)
                 ),
                 lambda rec: self.put_subscription(model.from_record(ListSubscription, rec)),
-                lambda rec: rec,
             ),
             "favorites": (
                 lambda: (
                     model.to_record(self.favorites[k]) for k in sorted(self.favorites)
                 ),
                 lambda rec: self.put_favorite(model.from_record(FavoriteRecord, rec)),
-                lambda rec: rec,
             ),
             "trends": (
                 lambda: (model.to_record(t) for t in self.trends),
                 lambda rec: self.put_trend(model.from_record(TrendSnapshot, rec)),
-                lambda rec: {"place": rec["place"], "observed_at": rec["observed_at"]},
             ),
             "shorturl": (
                 lambda: (
@@ -345,7 +354,6 @@ class Store:
                     for s in sorted(self.shorturl)
                 ),
                 lambda rec: self.shorturl.__setitem__(rec["short"], rec["expanded"]),
-                lambda rec: rec,
             ),
             "classes": (
                 lambda: (
@@ -353,14 +361,12 @@ class Store:
                     for u in sorted(self.classes)
                 ),
                 lambda rec: self.classes.__setitem__(rec["user"], UserClass(rec["class"])),
-                lambda rec: rec,
             ),
             "classhistory": (
                 lambda: (model.to_record(t) for t in self.class_history),
                 lambda rec: self.class_history.append(
                     model.from_record(ClassTransition, rec)
                 ),
-                lambda rec: rec,
             ),
             "crawlstate": (
                 lambda: (
@@ -368,7 +374,6 @@ class Store:
                     for u in sorted(self.crawl_states)
                 ),
                 lambda rec: self.put_crawl_state(model.from_record(CrawlState, rec)),
-                lambda rec: {"user": rec["user"]},
             ),
             "gonerefs": (
                 lambda: (
@@ -377,9 +382,17 @@ class Store:
                     for t in sorted(self.gone_refs[a])
                 ),
                 lambda rec: self.add_gone_ref(rec["author"], rec["tweet"]),
-                lambda rec: rec,
             ),
         }
+
+    # the fields `export --ids-only` keeps; other collections are kept whole
+    ID_FIELDS = {
+        "users": ("id", "observed_at"),
+        "tweets": ("id", "author"),
+        "lists": ("id", "owner"),
+        "trends": ("place", "observed_at"),
+        "crawlstate": ("user",),
+    }
 
     COLLECTIONS = (
         "users",
@@ -411,38 +424,24 @@ class Store:
             self.shorturl[short] = expanded
         self.mutations += 1
 
-    def export_collection(
-        self, name: str, path: str | Path, ids_only: bool = False
-    ) -> int:
-        """Write one collection as JSON lines in canonical key order.
-
-        ids_only drops content fields and keeps identifiers, for exports that
-        must not carry text or profile details.
-        """
+    def export_collection(self, name: str, path: str | Path) -> int:
+        """Write one collection as JSON lines in canonical key order."""
         if name in self._missing:
             raise RuntimeError(f"collection {name!r} was not loaded")
-        records, _, project = self._collections()[name]
+        records, _ = self._collections()[name]
         n = 0
         with open(path, "w", encoding="utf-8") as fh:
             for rec in records():
-                if ids_only:
-                    rec = project(rec)
                 fh.write(dumps(rec) + "\n")
                 n += 1
         return n
 
     def import_collection(self, name: str, path: str | Path) -> int:
-        _, insert, _ = self._collections()[name]
+        _, insert = self._collections()[name]
         n = 0
-        with open(path, encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if line:
-                    rec, end = _DECODER.raw_decode(line)
-                    if end != len(line):
-                        raise ValueError(f"{path}: data after record {n + 1}")
-                    insert(rec)
-                    n += 1
+        for _, rec in read_collection(path):
+            insert(rec)
+            n += 1
         return n
 
     def save(self, directory: str | Path) -> None:
@@ -457,7 +456,7 @@ class Store:
                 f"store loaded without {sorted(self._missing)} cannot be saved"
             )
         directory = Path(directory)
-        _finish_swap(directory)
+        finish_swap(directory)
         if directory.is_dir():
             stray = {p.name for p in directory.iterdir()} - set(_FILES)
             if stray:
@@ -471,7 +470,7 @@ class Store:
         if directory.exists():
             os.replace(directory, old)
         os.replace(tmp, directory)
-        _finish_swap(directory)  # removes the old store
+        finish_swap(directory)  # removes the old store
 
     @classmethod
     def load(cls, directory: str | Path, collections: Iterable[str] | None = None) -> "Store":
@@ -485,7 +484,7 @@ class Store:
         unknown = wanted.difference(cls.COLLECTIONS)
         if unknown:
             raise KeyError(min(unknown))
-        _finish_swap(directory)
+        finish_swap(directory)
         store = cls()
         store._missing = frozenset(cls.COLLECTIONS) - wanted
         for name in cls.COLLECTIONS:  # tweets before shorturl, as saved
@@ -509,7 +508,7 @@ def _siblings(directory: Path) -> tuple[Path, Path]:
     )
 
 
-def _finish_swap(directory: Path) -> None:
+def finish_swap(directory: Path) -> None:
     """Complete a save that died after moving the old store aside.
 
     Between the two renames only `.tmp/` and `.old/` exist, and `.tmp/` is

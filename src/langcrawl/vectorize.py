@@ -24,7 +24,7 @@ import re
 import statistics
 import unicodedata
 from collections import Counter, defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import date, timedelta
 from functools import cache
 from itertools import combinations
@@ -902,22 +902,21 @@ _PROFILE_COPIED = tuple(f for f in FEATURE_FIELDS[_PROFILE_SLICE] if f in UserSn
 
 @dataclass
 class _Context:
-    """Whole-corpus state shared by every vector at one (window, store) state."""
+    """Whole-corpus state shared by every vector at one (as_of, store) state."""
 
-    key: tuple  # (t_from, t_to, store mutations)
+    key: tuple  # (as_of, store mutations)
     tweets_by_author: dict[UserId, list[Tweet]]
-    adj: Adjacency  # the interaction graphs, the favorite graph and the follow graph
+    adj: Adjacency  # mention, retweet, reply, favorite and follow
     replies_to: dict[UserId, Counter]
-    vectors: dict[UserId, dict] = field(default_factory=dict)
 
 
 class Vectorizer:
-    """Computes and caches feature vectors against one store.
+    """Computes feature vectors against one store.
 
     The heavy shared state (interaction graphs, follow snapshot, favorite
-    maps) is built once per (time window, store mutation count) and reused
-    for every user; finished vectors are cached write-once within it. Any
-    store write invalidates everything, which is coarse but always correct.
+    maps) is built once per (as_of, store mutation count) and reused for
+    every user. Any store write invalidates it, which is coarse but always
+    correct.
     """
 
     def __init__(self, store: Store, lexicons: Lexicons | None = None):
@@ -927,23 +926,23 @@ class Vectorizer:
 
     # -- shared state --------------------------------------------------------
 
-    def _context(self, t_from: Timestamp | None, t_to: Timestamp) -> _Context:
-        key = (t_from, t_to, self.store.mutations)
+    def _context(self, as_of: Timestamp) -> _Context:
+        key = (as_of, self.store.mutations)
         if self._ctx is not None and self._ctx.key == key:
             return self._ctx
 
-        lo = t_from if t_from is not None else -(1 << 62)
-        corpus = [t for t in self.store.all_tweets() if lo <= t.created_at <= t_to]
+        corpus = [t for t in self.store.all_tweets() if t.created_at <= as_of]
         by_author: dict[UserId, list[Tweet]] = defaultdict(list)
         for t in corpus:
             by_author[t.author].append(t)
         for tweets in by_author.values():
             tweets.sort(key=lambda t: (t.created_at, t.id))
 
-        present = follow_snapshot(self.store.follow_log, self.store.follow_scans, t_to)
-        favorites = (f for f in self.store.all_favorites() if f.observed_at <= t_to)
+        present = follow_snapshot(self.store.follow_log, self.store.follow_scans, as_of)
+        favorites = (f for f in self.store.all_favorites() if f.observed_at <= as_of)
+        interactions = extract_interactions(corpus)
         graphs = {
-            **extract_interactions(corpus),
+            **{kind: interactions[kind] for kind in _TOP_COUNTERPARTS},
             "favorite": favorite_graph(favorites),
             "follow": dict.fromkeys(present, 1),
         }
@@ -955,19 +954,6 @@ class Vectorizer:
         )
         return self._ctx
 
-    # -- public API ------------------------------------------------------------
-
-    def assemble_vector(self, u: UserId, as_of: Timestamp) -> dict:
-        return self._assemble(u, None, as_of)
-
-    def vector_between(self, u: UserId, t_from: Timestamp, t_to: Timestamp) -> dict:
-        """Same vector, counting only tweets created inside [t_from, t_to].
-
-        Snapshots, follow edges and favorites are still taken as of t_to;
-        only the tweet corpus gets the lower bound.
-        """
-        return self._assemble(u, t_from, t_to)
-
     def _known(self, u: UserId) -> bool:
         s = self.store
         return (
@@ -977,13 +963,12 @@ class Vectorizer:
             or s.user_class(u) is not UserClass.UNKNOWN
         )
 
-    def _assemble(self, u: UserId, t_from: Timestamp | None, as_of: Timestamp) -> dict:
+    # -- public API ------------------------------------------------------------
+
+    def assemble_vector(self, u: UserId, as_of: Timestamp) -> dict:
         if not self._known(u):
             raise UnknownUser(u)
-        ctx = self._context(t_from, as_of)
-        cached = ctx.vectors.get(u)
-        if cached is not None:
-            return cached
+        ctx = self._context(as_of)
 
         snapshot = self.store.snapshot_as_of(u, as_of)
         klass = self.store.user_class(u)
@@ -1016,9 +1001,7 @@ class Vectorizer:
         merged.update(text_features(tweets, authored, self.lex, screen_name))
         merged.update(sentiment_features(authored))
 
-        vector = {f: merged[f] for f in FEATURE_FIELDS}
-        ctx.vectors[u] = vector
-        return vector
+        return {f: merged[f] for f in FEATURE_FIELDS}
 
 
 def export_vectors(

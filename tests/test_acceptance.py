@@ -207,12 +207,11 @@ def test_criterion_05_classifier_precision_recall_and_stops():
             activity_max=50.0,
         )
     )
-    gt = w.ground_truth()
     store = Store()
     # force-crawl some pure majority-community users so the stop rule gets
     # real input instead of never seeing them at all
     pure_other = [
-        u for u in sorted(w.users) if gt.community(u) == "en" and not gt.is_mixed(u)
+        u for u in sorted(w.users) if w.users[u].community == "en" and u not in w.mixed_users
     ][:10]
     for u in pure_other:
         store.set_class(u, UserClass.TRACKED, w.now)
@@ -224,7 +223,7 @@ def test_criterion_05_classifier_precision_recall_and_stops():
 
     tp = fp = fn = 0
     for u in sorted(w.users):
-        truth = gt.community(u) == "el"
+        truth = w.users[u].community == "el"
         said = store.user_class(u) is UserClass.TARGET
         if said and truth:
             tp += 1
@@ -241,8 +240,8 @@ def test_criterion_05_classifier_precision_recall_and_stops():
     deep_other = [
         u
         for u in sorted(w.users)
-        if gt.community(u) != "el"
-        and not gt.is_mixed(u)
+        if w.users[u].community != "el"
+        and u not in w.mixed_users
         and store.author_tweet_count(u) > 500
     ]
     assert deep_other, "no pure-other user was crawled past 500 tweets"

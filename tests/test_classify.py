@@ -160,7 +160,7 @@ def test_run_classification_promotes_and_stops():
     # an unknown promoted straight to membership passes through tracked
     assert (1, "unknown", "tracked") in report.transitions
     assert (1, "tracked", "target") in report.transitions
-    assert report.count(UserClass.UNKNOWN, UserClass.STOPPED) == 1
+    assert sum(old == "unknown" and new == "stopped" for _, old, new in report.transitions) == 1
 
 
 def test_run_classification_is_idempotent():

@@ -2,13 +2,16 @@
 
 import json
 import os
+import shutil
+from pathlib import Path
 
 import pytest
 
-from langcrawl import cli
+from langcrawl import cli, model
+from langcrawl import store as store_mod
 from langcrawl.cli import RunManifest, main
 from langcrawl.simnet import WorldConfig
-from langcrawl.store import Store
+from langcrawl.store import Store, dumps, read_collection
 
 
 def world_config(tmp_path, **kw):
@@ -227,33 +230,52 @@ def test_read_only_commands_load_only_what_they_read(crawled, capsys, monkeypatc
     run = tmp_path / "run"
     argv = [*command, "--store", str(run)]
     read = set()
-    import_collection = Store.import_collection
 
-    def spy(self, name, path):
-        read.add(name)
-        return import_collection(self, name, path)
+    def spy(path):
+        read.add(Path(path).stem)
+        return read_collection(path)
 
     def outputs():
         assert main(argv) == 0
         files = {p.name: p.read_bytes() for p in sorted((run / "report").iterdir())}
         return capsys.readouterr().out, files
 
-    monkeypatch.setattr(Store, "import_collection", spy)
+    monkeypatch.setattr(store_mod, "read_collection", spy)
+    monkeypatch.setattr(cli, "read_collection", spy)
     partial = outputs()
     assert read == READ_ONLY_COMMANDS[command]
     monkeypatch.setattr(cli, "_load_store", lambda d, collections=None: Store.load(run / "store"))
     read.clear()
     assert outputs() == partial
-    assert read == set(Store.COLLECTIONS)
+    # export loads no store, so the whole-store load above does not reach it
+    whole = READ_ONLY_COMMANDS[command] if command[0] == "export" else set(Store.COLLECTIONS)
+    assert read == whole
+
+
+def test_export_equals_the_saved_file(crawled, capsys):
+    tmp_path, _, _ = crawled
+    run = tmp_path / "run"
+    for name in Store.COLLECTIONS:
+        out = tmp_path / "exports" / f"{name}.jsonl"
+        assert main(["export", name, "--store", str(run), "--out", str(out)]) == 0
+        summary = json.loads(capsys.readouterr().out)
+        saved = (run / "store" / f"{name}.jsonl").read_bytes()
+        assert out.read_bytes() == saved, name
+        assert summary["lines"] == saved.count(b"\n")
 
 
 def test_export_ids_only(crawled, capsys):
     tmp_path, m, _ = crawled
-    store = str(tmp_path / "run")
-    assert main(["export", "tweets", "--store", store, "--ids-only"]) == 0
-    capsys.readouterr()
-    out = tmp_path / "run" / "report" / "tweets.jsonl"
-    rows = [json.loads(x) for x in out.read_text().splitlines()]
+    run = tmp_path / "run"
+    for name in Store.COLLECTIONS:
+        assert main(["export", name, "--store", str(run), "--ids-only"]) == 0
+        capsys.readouterr()
+        saved = [json.loads(x) for x in (run / "store" / f"{name}.jsonl").read_text().splitlines()]
+        keep = Store.ID_FIELDS.get(name)
+        want = [{f: rec[f] for f in keep} if keep else rec for rec in saved]
+        got = (run / "report" / f"{name}.jsonl").read_text()
+        assert got == "".join(dumps(rec) + "\n" for rec in want), name
+    rows = [json.loads(x) for x in (run / "report" / "tweets.jsonl").read_text().splitlines()]
     assert rows
     assert all(set(r) == {"id", "author"} for r in rows)
 
@@ -266,6 +288,73 @@ def test_export_full_collection_to_custom_path(crawled, capsys):
     capsys.readouterr()
     rows = [json.loads(x) for x in dst.read_text().splitlines()]
     assert rows and "screen_name" in rows[0]
+
+
+@pytest.mark.parametrize("ids_only", [[], ["--ids-only"]], ids=["whole", "ids-only"])
+def test_export_builds_no_store_and_no_record(crawled, capsys, monkeypatch, ids_only):
+    tmp_path, _, _ = crawled
+    built = []
+    real = model.from_record
+    monkeypatch.setattr(model, "from_record", lambda *a: built.append(a) or real(*a))
+    monkeypatch.setattr(Store, "__init__", lambda self: built.append(self))
+    argv = ["export", "tweets", "--store", str(tmp_path / "run"), *ids_only]
+    assert main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["lines"] > 0
+    assert built == []
+
+
+@pytest.mark.parametrize("bad", ['{"id":1}{"id":2}', '{"id":'], ids=["two-values", "cut-short"])
+def test_export_fails_on_a_malformed_line_as_load_does(crawled, capsys, bad):
+    tmp_path, _, _ = crawled
+    run = tmp_path / "run"
+    tweets = run / "store" / "tweets.jsonl"
+    lines = tweets.read_text().splitlines()
+    tweets.write_text("\n".join([lines[0], bad, *lines[1:]]) + "\n")
+    with pytest.raises(ValueError):
+        Store.load(run / "store")
+    args = cli.build_parser().parse_args(["export", "tweets", "--store", str(run)])
+    with pytest.raises(ValueError):
+        args.fn(args)
+
+
+def test_export_finishes_a_save_that_died_between_its_renames(crawled, capsys):
+    tmp_path, _, _ = crawled
+    run = tmp_path / "run"
+    # the new store is complete in store.tmp/, the old one moved to store.old/
+    shutil.copytree(run / "store", run / "store.tmp")
+    newer = run / "store.tmp" / "tweets.jsonl"
+    newer.write_text("".join(newer.read_text().splitlines(keepends=True)[:3]))
+    want = newer.read_bytes()
+    os.replace(run / "store", run / "store.old")
+    assert main(["export", "tweets", "--store", str(run)]) == 0
+    assert json.loads(capsys.readouterr().out)["lines"] == 3
+    assert (run / "report" / "tweets.jsonl").read_bytes() == want
+    assert (run / "store" / "tweets.jsonl").read_bytes() == want
+    assert not (run / "store.tmp").exists() and not (run / "store.old").exists()
+
+
+@pytest.mark.parametrize(
+    "collection, out, ids_only",
+    [
+        ("tweets", "store/tweets.jsonl", ["--ids-only"]),
+        ("tweets", "store/tweets.jsonl", []),
+        ("tweets", "report/../store/tweets.jsonl", []),
+        ("tweets", "store/users.jsonl", []),
+    ],
+    ids=["ids-only", "whole", "other-spelling", "other-collection"],
+)
+def test_export_refuses_to_write_over_the_store(crawled, capsys, collection, out, ids_only):
+    tmp_path, _, _ = crawled
+    run = tmp_path / "run"
+    (run / "report").mkdir(exist_ok=True)
+    before = {p.name: p.read_bytes() for p in sorted((run / "store").iterdir())}
+    argv = ["export", collection, "--store", str(run), "--out", str(run / out), *ids_only]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"] == "ValueError"
+    assert {p.name: p.read_bytes() for p in sorted((run / "store").iterdir())} == before
+    assert len(Store.load(run / "store").tweets) == before["tweets.jsonl"].count(b"\n")
 
 
 def test_errors_print_one_json_line_and_exit_1(tmp_path, capsys):

@@ -29,11 +29,10 @@ def test_exact_partition_sums_and_rounds():
 
 def test_community_counts_are_exact():
     w = small_world()
-    gt = w.ground_truth()
-    langs = [gt.community(u) for u in gt.user_ids()]
+    langs = [w.users[u].community for u in sorted(w.users)]
     assert langs.count("el") == 20
     assert langs.count("en") == 20
-    assert sum(gt.is_mixed(u) for u in gt.user_ids()) == 4
+    assert sum(u in w.mixed_users for u in sorted(w.users)) == 4
 
 
 def test_same_seed_same_world(tmp_path):
@@ -61,7 +60,7 @@ def test_different_seed_different_history(tmp_path):
 def test_advance_emits_monotonic_tweets():
     w = small_world()
     w.advance(3 * DAY)
-    log = list(w.ground_truth().all_tweets())
+    log = list(w.tweet_log)
     assert log, "an active world must tweet"
     ats = [t.created_at for t in log]
     assert ats == sorted(ats)
@@ -109,7 +108,7 @@ def test_emit_tweets_scripted():
     assert len(out) == 5
     assert [t.created_at for t in out] == [t0 + 60 * (i + 1) for i in range(5)]
     assert all(t.author == u for t in out)
-    assert w.ground_truth().tweet_ids_of(u)[-5:] == [t.id for t in out]
+    assert w.users[u].tweet_ids[-5:] == [t.id for t in out]
 
 
 def test_emit_like_and_emit_kinds():
@@ -121,7 +120,7 @@ def test_emit_like_and_emit_kinds():
     (rt,) = w.emit_tweets(b, 1, kind="retweet", target=target)
     assert rt.retweet_of == (target.id, a)
     w.emit_like(b, target.id)
-    recs = w.ground_truth().like_records()
+    recs = [rec for v in sorted(w.users) for rec in w.users[v].likes.values()]
     assert any(
         r.user == b and r.tweet == target.id and r.tweet_author == a for r in recs
     )
@@ -168,7 +167,7 @@ def test_timeline_serves_at_most_3200():
         got.extend(page)
         max_id = page[-1].id - 1
     assert len(got) == 3200
-    total = w.ground_truth().total_tweets(u)
+    total = len(w.users[u].tweets)
     assert total >= 3300
 
 
@@ -198,9 +197,8 @@ def test_request_log_counts_api_traffic():
 def test_ground_truth_totals_match_log():
     w = small_world()
     w.advance(2 * DAY)
-    gt = w.ground_truth()
-    per_user = sum(gt.total_tweets(u) for u in gt.user_ids())
-    assert per_user == len(list(gt.all_tweets()))
+    per_user = sum(len(w.users[u].tweets) for u in sorted(w.users))
+    assert per_user == len(w.tweet_log)
 
 
 def test_follow_edges_ground_truth():
@@ -209,11 +207,11 @@ def test_follow_edges_ground_truth():
     users = sorted(w.users)
     a, b = users[0], users[1]
     w.follow(a, b)
-    assert (a, b) in w.ground_truth().follow_edges()
+    assert b in w.users[a].friends
     # idempotent
-    n = len(w.ground_truth().follow_edges())
+    n = sum(len(v.friends) for v in w.users.values())
     w.follow(a, b)
-    assert len(w.ground_truth().follow_edges()) == n
+    assert sum(len(v.friends) for v in w.users.values()) == n
 
 
 def test_trends_match_a_recount_of_the_last_day():

@@ -16,7 +16,7 @@ from langcrawl.model import (
     UserClass,
     UserSnapshot,
 )
-from langcrawl.store import PutSnapshotResult, PutTweetResult, Store
+from langcrawl.store import PutSnapshotResult, PutTweetResult, Store, read_collection
 
 
 def snap(**kw) -> UserSnapshot:
@@ -265,11 +265,11 @@ def test_save_that_dies_after_k_files_leaves_previous_store(tmp_path, monkeypatc
     written = 0
     export = Store.export_collection
 
-    def dying(self, name, path, ids_only=False):
+    def dying(self, name, path):
         nonlocal written
         if written == k:
             raise Died
-        n = export(self, name, path, ids_only)
+        n = export(self, name, path)
         written += 1
         if written == k:
             raise Died
@@ -347,13 +347,19 @@ def test_load_rejects_tweets_out_of_id_order(tmp_path, order):
         Store.load(tmp_path / "store")
 
 
-def test_export_collection_ids_only(tmp_path):
+def test_read_collection_yields_saved_lines_and_records(tmp_path):
     s = populated_store()
-    out = tmp_path / "tweets.jsonl"
-    n = s.export_collection("tweets", out, ids_only=True)
-    lines = [json.loads(x) for x in out.read_text().splitlines()]
-    assert n == 2
-    assert lines == [{"id": 11, "author": 1}, {"id": 12, "author": 2}]
+    s.save(tmp_path / "store")
+    path = tmp_path / "store" / "tweets.jsonl"
+    path.write_text(path.read_text() + "\n  \n")  # blank lines are skipped
+    got = list(read_collection(path))
+    assert [line for line, _ in got] == path.read_text().splitlines()[:2]
+    assert [rec for _, rec in got] == [model.to_record(t) for t in s.all_tweets()]
+    keep = Store.ID_FIELDS["tweets"]
+    assert [{f: rec[f] for f in keep} for _, rec in got] == [
+        {"id": 11, "author": 1},
+        {"id": 12, "author": 2},
+    ]
 
 
 def test_mutations_counter_moves_on_every_write():
