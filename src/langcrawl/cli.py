@@ -12,7 +12,7 @@ Store directory layout (created by `crawl`):
                             `export <c>` copies <c>.jsonl without a Store
     <dir>/runlog.jsonl      request log, appended per crawl
     <dir>/ground_truth.jsonl  world state at the end of the crawl
-    <dir>/manifest.json     resolved copy of the run manifest
+    <dir>/manifest.json     copy of the run manifest, paths relative to <dir>
     <dir>/report/           mine/report/vectorize outputs
 """
 
@@ -21,9 +21,11 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 from .apiface import RateLimiter
 from .classify import ClassifierConfig, load_common_names, run_classification
@@ -63,19 +65,16 @@ class RunManifest:
 
     @classmethod
     def load(cls, path: str | Path) -> "RunManifest":
-        m = load_config(cls, path)
         # relative paths mean "next to the manifest file"
-        base = Path(path).parent
-        resolve = lambda p: str((base / p) if not Path(p).is_absolute() else Path(p))
-        m = dataclasses.replace(
-            m,
-            world_config=resolve(m.world_config),
-            store_dir=resolve(m.store_dir),
-            scheduler_config=resolve(m.scheduler_config) if m.scheduler_config else None,
-            classifier_config=resolve(m.classifier_config) if m.classifier_config else None,
-        )
+        m = load_config(cls, path).with_paths(lambda p: str(Path(path).parent / p))
         m.validate()
         return m
+
+    def with_paths(self, fn: Callable[[str], str]) -> "RunManifest":
+        """A copy with `fn` applied to each path the manifest names."""
+        names = ("world_config", "store_dir", "scheduler_config", "classifier_config")
+        paths = {f: fn(getattr(self, f)) for f in names if getattr(self, f) is not None}
+        return dataclasses.replace(self, **paths)
 
     def validate(self) -> None:
         if self.horizon_days <= 0:
@@ -111,6 +110,9 @@ def _store_paths(store_dir: str | Path) -> dict[str, Path]:
 # the whole store, because they may save it.
 MINE_READS = ("users", "tweets", "follow", "followscans", "memberships", "favorites", "crawlstate")
 REPORT_READS = ("tweets", "classes")
+VECTORIZE_READS = (
+    "users", "tweets", "follow", "followscans", "favorites", "classes", "crawlstate", "gonerefs"
+)
 
 
 def _load_store(store_dir: str | Path, collections: tuple[str, ...] | None = None) -> Store:
@@ -188,7 +190,9 @@ def cmd_crawl(args: argparse.Namespace) -> int:
         for rec in crawler.log:
             fh.write(dumps(rec) + "\n")
     world.export_jsonl(paths["ground_truth"])
-    paths["manifest"].write_text(manifest.to_json() + "\n", encoding="utf-8")
+    # the copy names its paths from where it sits, so store_dir is "."
+    copy = manifest.with_paths(lambda p: os.path.relpath(p, paths["root"]))
+    paths["manifest"].write_text(copy.to_json() + "\n", encoding="utf-8")
     print(
         json.dumps(
             {
@@ -242,7 +246,9 @@ def cmd_mine(args: argparse.Namespace) -> int:
 
     out_dir = _store_paths(args.store)["report"]
     out_dir.mkdir(parents=True, exist_ok=True)
-    graphs = extract_interactions(store.all_tweets())
+    # retweet, mention, reply and quote come from one pass over the tweets
+    wants_interactions = set(kinds) - {"favorite", "lists", "follow"}
+    graphs = extract_interactions(store.all_tweets()) if wants_interactions else {}
     written = {}
     for kind in kinds:
         if kind in graphs:
@@ -265,7 +271,7 @@ def cmd_mine(args: argparse.Namespace) -> int:
 
 
 def cmd_vectorize(args: argparse.Namespace) -> int:
-    store = _load_store(args.store)
+    store = _load_store(args.store, VECTORIZE_READS)
     as_of = args.as_of if args.as_of is not None else _store_now(store)
     if args.users == "all":
         users = sorted(store.users_in_class(UserClass.TRACKED, UserClass.TARGET))
@@ -353,7 +359,7 @@ def cmd_export(args: argparse.Namespace) -> int:
     finish_swap(paths["store"])
     if out.exists() and any(out.samefile(p) for p in paths["store"].glob("*.jsonl")):
         raise ValueError(f"--out {out} is a file of the store")
-    keep = Store.ID_FIELDS.get(name) if args.ids_only else None
+    keep = Store.COLLECTIONS[name].ids if args.ids_only else None
     lines = read_collection(src) if src.exists() else ()
     out.parent.mkdir(parents=True, exist_ok=True)
     n = 0

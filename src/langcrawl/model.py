@@ -200,14 +200,6 @@ class ClassTransition:
     at: Timestamp
 
 
-@_record
-class GoneRef:
-    """A referenced tweet id the platform no longer serves."""
-
-    author: UserId  # the user whose tweet referenced it
-    tweet: TweetId
-
-
 def tweet_refs(t: Tweet) -> list[tuple[str, TweetId, UserId]]:
     """All (kind, tweet id, user id) references carried by one tweet.
 

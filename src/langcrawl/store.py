@@ -11,6 +11,13 @@ renames, the old directory going aside as `<dir>.old/` until it is removed;
 `load` finishes a swap that a dying process left half done, so a crash
 mid-save leaves the old store or the new one, never a mix of the two.
 
+The table `Store.COLLECTIONS` is where a collection is defined: one row
+each, in saved order, naming the attribute that holds it, its record class,
+the method `load` inserts each record with and the fields `export
+--ids-only` keeps. `save` walks a dict attribute by ascending key and a list
+in its own order; only users' snapshot histories, gone refs' id sets,
+shorturl and classes are written by name.
+
 `read_collection` reads one saved file line by line. `load` builds records
 from it; `langcrawl export` copies its lines as they are.
 """
@@ -25,7 +32,7 @@ import shutil
 from collections import Counter, defaultdict
 from dataclasses import fields
 from pathlib import Path
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from . import model
 from .model import (
@@ -34,7 +41,6 @@ from .model import (
     FavoriteRecord,
     FollowEdge,
     FollowScan,
-    GoneRef,
     ListMembership,
     ListRecord,
     ListSubscription,
@@ -89,6 +95,15 @@ def read_collection(path: str | Path) -> Iterator[tuple[str, dict]]:
                 if end != len(line):
                     raise ValueError(f"{path}: data after record {n}")
                 yield line, rec
+
+
+class Collection(NamedTuple):
+    """One row of `Store.COLLECTIONS`, the table that defines a collection."""
+
+    attr: str  # the Store attribute that holds it
+    cls: type | None  # its record class; None: load inserts the JSON object as read
+    insert: str  # the Store method that load inserts each record with
+    ids: tuple[str, ...] | None = None  # what `export --ids-only` keeps; None: all
 
 
 class Store:
@@ -295,121 +310,26 @@ class Store:
 
     # -- import / export ---------------------------------------------------------------
 
-    # collection name -> (iter canonical records, insert record)
-    def _collections(self) -> dict[str, tuple[Callable, Callable]]:
-        return {
-            "users": (
-                lambda: (
-                    model.to_record(s)
-                    for u in sorted(self.snapshots)
-                    for s in self.snapshots[u]
-                ),
-                # history replays verbatim, bypassing the dedup rule
-                lambda rec: self.snapshots[rec["id"]].append(
-                    model.from_record(UserSnapshot, rec)
-                ),
-            ),
-            "tweets": (
-                lambda: (model.to_record(self.tweets[i]) for i in sorted(self.tweets)),
-                lambda rec: self._import_tweet(model.from_record(Tweet, rec)),
-            ),
-            "follow": (
-                lambda: (model.to_record(e) for e in self.follow_log),
-                lambda rec: self.append_follow(model.from_record(FollowEdge, rec)),
-            ),
-            "followscans": (
-                lambda: (model.to_record(s) for s in self.follow_scans),
-                lambda rec: self.record_follow_scan(model.from_record(FollowScan, rec)),
-            ),
-            "lists": (
-                lambda: (model.to_record(self.lists[i]) for i in sorted(self.lists)),
-                lambda rec: self.put_list(model.from_record(ListRecord, rec)),
-            ),
-            "memberships": (
-                lambda: (
-                    model.to_record(self.memberships[k]) for k in sorted(self.memberships)
-                ),
-                lambda rec: self.put_membership(model.from_record(ListMembership, rec)),
-            ),
-            "subscriptions": (
-                lambda: (
-                    model.to_record(self.subscriptions[k])
-                    for k in sorted(self.subscriptions)
-                ),
-                lambda rec: self.put_subscription(model.from_record(ListSubscription, rec)),
-            ),
-            "favorites": (
-                lambda: (
-                    model.to_record(self.favorites[k]) for k in sorted(self.favorites)
-                ),
-                lambda rec: self.put_favorite(model.from_record(FavoriteRecord, rec)),
-            ),
-            "trends": (
-                lambda: (model.to_record(t) for t in self.trends),
-                lambda rec: self.put_trend(model.from_record(TrendSnapshot, rec)),
-            ),
-            "shorturl": (
-                lambda: (
-                    {"short": s, "expanded": self.shorturl[s]}
-                    for s in sorted(self.shorturl)
-                ),
-                lambda rec: self.shorturl.__setitem__(rec["short"], rec["expanded"]),
-            ),
-            "classes": (
-                lambda: (
-                    {"user": u, "class": self.classes[u].value}
-                    for u in sorted(self.classes)
-                ),
-                lambda rec: self.classes.__setitem__(rec["user"], UserClass(rec["class"])),
-            ),
-            "classhistory": (
-                lambda: (model.to_record(t) for t in self.class_history),
-                lambda rec: self.class_history.append(
-                    model.from_record(ClassTransition, rec)
-                ),
-            ),
-            "crawlstate": (
-                lambda: (
-                    model.to_record(self.crawl_states[u])
-                    for u in sorted(self.crawl_states)
-                ),
-                lambda rec: self.put_crawl_state(model.from_record(CrawlState, rec)),
-            ),
-            "gonerefs": (
-                lambda: (
-                    model.to_record(GoneRef(author=a, tweet=t))
-                    for a in sorted(self.gone_refs)
-                    for t in sorted(self.gone_refs[a])
-                ),
-                lambda rec: self.add_gone_ref(rec["author"], rec["tweet"]),
-            ),
-        }
-
-    # the fields `export --ids-only` keeps; other collections are kept whole
-    ID_FIELDS = {
-        "users": ("id", "observed_at"),
-        "tweets": ("id", "author"),
-        "lists": ("id", "owner"),
-        "trends": ("place", "observed_at"),
-        "crawlstate": ("user",),
+    # One row per collection, in saved order: tweets before shorturl, which
+    # loading tweets also fills.
+    COLLECTIONS = {
+        "users": Collection("snapshots", UserSnapshot, "_append_snapshot", ("id", "observed_at")),
+        "tweets": Collection("tweets", Tweet, "_import_tweet", ("id", "author")),
+        "follow": Collection("follow_log", FollowEdge, "append_follow"),
+        "followscans": Collection("follow_scans", FollowScan, "record_follow_scan"),
+        "lists": Collection("lists", ListRecord, "put_list", ("id", "owner")),
+        "memberships": Collection("memberships", ListMembership, "put_membership"),
+        "subscriptions": Collection("subscriptions", ListSubscription, "put_subscription"),
+        "favorites": Collection("favorites", FavoriteRecord, "put_favorite"),
+        "trends": Collection("trends", TrendSnapshot, "put_trend", ("place", "observed_at")),
+        "shorturl": Collection("shorturl", None, "_put_shorturl"),
+        "classes": Collection("classes", None, "_put_class"),
+        "classhistory": Collection("class_history", ClassTransition, "_append_transition"),
+        "crawlstate": Collection("crawl_states", CrawlState, "put_crawl_state", ("user",)),
+        "gonerefs": Collection("gone_refs", None, "_put_gone_ref"),
     }
 
-    COLLECTIONS = (
-        "users",
-        "tweets",
-        "follow",
-        "followscans",
-        "lists",
-        "memberships",
-        "subscriptions",
-        "favorites",
-        "trends",
-        "shorturl",
-        "classes",
-        "classhistory",
-        "crawlstate",
-        "gonerefs",
-    )
+    # load's inserts where no write method takes a saved record as it is
 
     def _import_tweet(self, t: Tweet) -> None:
         # import path: save writes tweets in ascending id order, so each
@@ -424,23 +344,52 @@ class Store:
             self.shorturl[short] = expanded
         self.mutations += 1
 
+    def _append_snapshot(self, s: UserSnapshot) -> None:
+        self.snapshots[s.id].append(s)  # history replays verbatim, bypassing the dedup rule
+
+    def _append_transition(self, t: ClassTransition) -> None:
+        self.class_history.append(t)
+
+    def _put_shorturl(self, rec: dict) -> None:
+        self.shorturl[rec["short"]] = rec["expanded"]
+
+    def _put_class(self, rec: dict) -> None:
+        self.classes[rec["user"]] = UserClass(rec["class"])
+
+    def _put_gone_ref(self, rec: dict) -> None:
+        self.add_gone_ref(rec["author"], rec["tweet"])
+
     def export_collection(self, name: str, path: str | Path) -> int:
-        """Write one collection as JSON lines in canonical key order."""
+        """Write one collection as JSON lines in canonical key order: a dict
+        by ascending key, a list in its own order."""
         if name in self._missing:
             raise RuntimeError(f"collection {name!r} was not loaded")
-        records, _ = self._collections()[name]
+        held = getattr(self, self.COLLECTIONS[name].attr)
+        if isinstance(held, list):
+            records = map(model.to_record, held)
+        elif name == "users":  # each user's history in the order observed
+            records = (model.to_record(s) for u in sorted(held) for s in held[u])
+        elif name == "gonerefs":
+            records = ({"author": a, "tweet": t} for a in sorted(held) for t in sorted(held[a]))
+        elif name == "shorturl":
+            records = ({"short": s, "expanded": held[s]} for s in sorted(held))
+        elif name == "classes":
+            records = ({"user": u, "class": held[u].value} for u in sorted(held))
+        else:
+            records = (model.to_record(held[k]) for k in sorted(held))
         n = 0
         with open(path, "w", encoding="utf-8") as fh:
-            for rec in records():
+            for rec in records:
                 fh.write(dumps(rec) + "\n")
                 n += 1
         return n
 
     def import_collection(self, name: str, path: str | Path) -> int:
-        _, insert = self._collections()[name]
+        row = self.COLLECTIONS[name]
+        insert, cls, decode = getattr(self, row.insert), row.cls, model.from_record
         n = 0
         for _, rec in read_collection(path):
-            insert(rec)
+            insert(rec if cls is None else decode(cls, rec))
             n += 1
         return n
 
@@ -458,7 +407,8 @@ class Store:
         directory = Path(directory)
         finish_swap(directory)
         if directory.is_dir():
-            stray = {p.name for p in directory.iterdir()} - set(_FILES)
+            files = {f"{name}.jsonl" for name in self.COLLECTIONS}
+            stray = {p.name for p in directory.iterdir()} - files
             if stray:
                 raise FileExistsError(f"{directory} holds files not of a store: {sorted(stray)}")
         tmp, old = _siblings(directory)
@@ -497,8 +447,6 @@ class Store:
     def all_tweets(self) -> Iterable[Tweet]:
         return (self.tweets[i] for i in sorted(self.tweets))
 
-
-_FILES = tuple(f"{name}.jsonl" for name in Store.COLLECTIONS)
 
 
 def _siblings(directory: Path) -> tuple[Path, Path]:

@@ -49,6 +49,34 @@ def test_manifest_load_resolves_relative_paths(tmp_path):
     assert m.store_dir == str(tmp_path / "run")
 
 
+def test_manifest_copy_loads_back_and_names_no_run_directory(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    world_config(tmp_path)
+    (tmp_path / "sched.json").write_text("{}")
+    for side in ("a", "b"):
+        (tmp_path / side).mkdir()
+        (tmp_path / side / "classify.json").write_text("{}")
+        (tmp_path / side / "run.json").write_text(json.dumps({
+            "world_config": "../world.json",
+            "scheduler_config": str(tmp_path / "sched.json"),
+            "classifier_config": "classify.json",
+            "store_dir": "run",
+            "horizon_days": 1,
+        }))
+        assert main(["crawl", "--config", f"{side}/run.json"]) == 0
+    capsys.readouterr()
+    original = RunManifest.load("a/run.json")
+    copy = RunManifest.load("a/run/manifest.json")
+    assert json.loads(Path("a/run/manifest.json").read_text())["store_dir"] == "."
+    for name in ("world_config", "store_dir", "scheduler_config", "classifier_config"):
+        assert os.path.abspath(getattr(copy, name)) == os.path.abspath(getattr(original, name))
+
+    def files(root):
+        return {str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+    assert files(tmp_path / "a" / "run") == files(tmp_path / "b" / "run")
+
+
 def test_manifest_rejects_unknown_fields_and_bad_horizon(tmp_path):
     world_config(tmp_path)
     p = tmp_path / "m.json"
@@ -155,6 +183,18 @@ def test_mine_writes_edge_and_degree_files(crawled, capsys):
     assert sample[0] == "degree,count"
 
 
+@pytest.mark.parametrize("kinds, calls", [("follow,favorite,lists", 0), ("follow,quote", 1), (None, 1)])
+def test_mine_builds_interaction_graphs_only_for_their_kinds(crawled, capsys, monkeypatch, kinds, calls):
+    tmp_path, _, _ = crawled
+    seen = []
+    real = cli.extract_interactions
+    monkeypatch.setattr(cli, "extract_interactions", lambda tweets: seen.append(1) or real(tweets))
+    argv = ["mine", "--store", str(tmp_path / "run")] + (["--kinds", kinds] if kinds else [])
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert len(seen) == calls
+
+
 def test_mine_kinds_filter(crawled, capsys):
     tmp_path, m, _ = crawled
     store = str(tmp_path / "run")
@@ -219,6 +259,9 @@ READ_ONLY_COMMANDS = {
     # command: the collections it reads
     ("mine",): {"users", "tweets", "follow", "followscans", "memberships", "favorites", "crawlstate"},
     ("report",): {"tweets", "classes"},
+    ("vectorize",): {
+        "users", "tweets", "follow", "followscans", "favorites", "classes", "crawlstate", "gonerefs"
+    },
     ("export", "users"): {"users"},
     ("export", "shorturl"): {"shorturl"},
 }
@@ -271,7 +314,7 @@ def test_export_ids_only(crawled, capsys):
         assert main(["export", name, "--store", str(run), "--ids-only"]) == 0
         capsys.readouterr()
         saved = [json.loads(x) for x in (run / "store" / f"{name}.jsonl").read_text().splitlines()]
-        keep = Store.ID_FIELDS.get(name)
+        keep = Store.COLLECTIONS[name].ids
         want = [{f: rec[f] for f in keep} if keep else rec for rec in saved]
         got = (run / "report" / f"{name}.jsonl").read_text()
         assert got == "".join(dumps(rec) + "\n" for rec in want), name

@@ -12,6 +12,10 @@ from langcrawl.model import (
     FavoriteRecord,
     FollowEdge,
     FollowScan,
+    ListMembership,
+    ListRecord,
+    ListSubscription,
+    TrendSnapshot,
     Tweet,
     UserClass,
     UserSnapshot,
@@ -253,6 +257,128 @@ def test_partly_loaded_store_refuses_save_and_other_exports(tmp_path):
         Store.load(d, collections=("tweets", "nonsense"))
 
 
+def every_collection_store() -> Store:
+    """Records in all 14 collections, each dict's keys inserted in
+    descending order."""
+    s = Store()
+    s.put_snapshot(snap(id=3, screen_name="eleni", observed_at=1200))
+    s.put_snapshot(snap())
+    s.put_snapshot(snap(bio="γεια σας", observed_at=1100))
+    s.put_tweet(tw(30, author=3, retweet_of=(12, 1), mentions=(1,)))
+    s.put_tweet(tw(12, truncated=True))
+    s.put_tweet(tw(11, hashtags=("pao",), quote_of=(9, 3)))
+    full = Tweet(id=12, author=1, created_at=12, text="x t.co/b", lang="el",
+                 urls=(("t.co/b", "https://example.gr/β"),))
+    assert s.put_tweet(full) is PutTweetResult.UPGRADED
+    s.append_follow(FollowEdge(src=3, dst=1, observed_at=30))
+    s.append_follow(FollowEdge(src=1, dst=3, observed_at=31))
+    s.record_follow_scan(FollowScan(kind="followers", subject=1, at=35))
+    s.record_follow_scan(FollowScan(kind="friends", subject=3, at=36))
+    s.put_list(ListRecord(id=8, owner=3, name="Έλληνες", member_count=2, created_at=5))
+    s.put_list(ListRecord(id=4, owner=1, name="news", member_count=1, created_at=6))
+    s.put_membership(ListMembership(list_id=8, member=3, observed_at=40))
+    s.put_membership(ListMembership(list_id=8, member=1, observed_at=41))
+    s.put_membership(ListMembership(list_id=4, member=3, observed_at=42))
+    s.put_subscription(ListSubscription(list_id=8, subscriber=1, observed_at=43))
+    s.put_subscription(ListSubscription(list_id=4, subscriber=3, observed_at=44))
+    s.put_favorite(FavoriteRecord(user=3, tweet=12, tweet_author=1, observed_at=45))
+    s.put_favorite(FavoriteRecord(user=1, tweet=30, tweet_author=3, observed_at=46))
+    s.put_trend(TrendSnapshot(place="Athens", observed_at=900, trends=("#pao", "Ελλάδα")))
+    s.put_trend(TrendSnapshot(place="Greece", observed_at=900))
+    s.set_class(3, UserClass.TRACKED, 50)
+    s.set_class(1, UserClass.TARGET, 51)
+    s.set_class(3, UserClass.STOPPED, 52)
+    s.put_crawl_state(CrawlState(user=3, last_seen_tweet=30, cap_reached=True))
+    s.put_crawl_state(CrawlState(user=1, first_seen_tweet=11, last_crawled_at=60, est_rate=2.5))
+    s.add_gone_ref(3, 7)
+    s.add_gone_ref(1, 9)
+    s.discard_gone_ref(1, 9)
+    return s
+
+
+# the files every_collection_store() saves, byte for byte
+PINNED = {
+    "classes": (
+        '{"class":"target","user":1}\n'
+        '{"class":"stopped","user":3}\n'
+    ),
+    "classhistory": (
+        '{"at":50,"new":"tracked","old":"unknown","user":3}\n'
+        '{"at":51,"new":"target","old":"unknown","user":1}\n'
+        '{"at":52,"new":"stopped","old":"tracked","user":3}\n'
+    ),
+    "crawlstate": (
+        '{"avatar_fetched_at":null,"cap_reached":false,"est_rate":2.5,"favorites_scanned_at":null,"first_crawled_at":null,"first_seen_tweet":11,"followers_scanned_at":null,"friends_scanned_at":null,"last_crawled_at":60,"last_seen_tweet":null,"profile_fetched_at":null,"user":1}\n'
+        '{"avatar_fetched_at":null,"cap_reached":true,"est_rate":0.0,"favorites_scanned_at":null,"first_crawled_at":null,"first_seen_tweet":null,"followers_scanned_at":null,"friends_scanned_at":null,"last_crawled_at":null,"last_seen_tweet":30,"profile_fetched_at":null,"user":3}\n'
+    ),
+    "favorites": (
+        '{"observed_at":46,"tweet":30,"tweet_author":3,"user":1}\n'
+        '{"observed_at":45,"tweet":12,"tweet_author":1,"user":3}\n'
+    ),
+    "follow": (
+        '{"dst":1,"observed_at":30,"src":3}\n'
+        '{"dst":3,"observed_at":31,"src":1}\n'
+    ),
+    "followscans": (
+        '{"at":35,"kind":"followers","subject":1}\n'
+        '{"at":36,"kind":"friends","subject":3}\n'
+    ),
+    "gonerefs": (
+        '{"author":3,"tweet":7}\n'
+    ),
+    "lists": (
+        '{"created_at":6,"id":4,"member_count":1,"name":"news","owner":1}\n'
+        '{"created_at":5,"id":8,"member_count":2,"name":"Έλληνες","owner":3}\n'
+    ),
+    "memberships": (
+        '{"list_id":4,"member":3,"observed_at":42}\n'
+        '{"list_id":8,"member":1,"observed_at":41}\n'
+        '{"list_id":8,"member":3,"observed_at":40}\n'
+    ),
+    "shorturl": (
+        '{"expanded":"https://example.gr/β","short":"t.co/b"}\n'
+    ),
+    "subscriptions": (
+        '{"list_id":4,"observed_at":44,"subscriber":3}\n'
+        '{"list_id":8,"observed_at":43,"subscriber":1}\n'
+    ),
+    "trends": (
+        '{"observed_at":900,"place":"Athens","trends":["#pao","Ελλάδα"]}\n'
+        '{"observed_at":900,"place":"Greece","trends":[]}\n'
+    ),
+    "tweets": (
+        '{"author":1,"created_at":11,"hashtags":["pao"],"id":11,"lang":"el","mentions":[],"quote_of":[9,3],"reply_to":null,"retweet_of":null,"source_client":"","text":"x","truncated":false,"urls":[]}\n'
+        '{"author":1,"created_at":12,"hashtags":[],"id":12,"lang":"el","mentions":[],"quote_of":null,"reply_to":null,"retweet_of":null,"source_client":"","text":"x t.co/b","truncated":false,"urls":[["t.co/b","https://example.gr/β"]]}\n'
+        '{"author":3,"created_at":30,"hashtags":[],"id":30,"lang":"el","mentions":[1],"quote_of":null,"reply_to":null,"retweet_of":[12,1],"source_client":"","text":"x","truncated":false,"urls":[]}\n'
+    ),
+    "users": (
+        '{"bio":"γεια","created_at":100,"favourites_count":0,"followers_count":10,"friends_count":20,"id":1,"location":"Αθήνα","name":"Μαρία","observed_at":1000,"profile_url":"","protected":false,"screen_name":"maria","time_zone":"Athens","tweet_count":5,"ui_lang":"el","verified":false}\n'
+        '{"bio":"γεια σας","created_at":100,"favourites_count":0,"followers_count":10,"friends_count":20,"id":1,"location":"Αθήνα","name":"Μαρία","observed_at":1100,"profile_url":"","protected":false,"screen_name":"maria","time_zone":"Athens","tweet_count":5,"ui_lang":"el","verified":false}\n'
+        '{"bio":"γεια","created_at":100,"favourites_count":0,"followers_count":10,"friends_count":20,"id":3,"location":"Αθήνα","name":"Μαρία","observed_at":1200,"profile_url":"","protected":false,"screen_name":"eleni","time_zone":"Athens","tweet_count":5,"ui_lang":"el","verified":false}\n'
+    ),
+}
+
+
+def test_every_collection_saves_and_reloads_its_pinned_bytes(tmp_path):
+    assert sorted(PINNED) == sorted(Store.COLLECTIONS)
+    want = {f"{name}.jsonl": text.encode("utf-8") for name, text in PINNED.items()}
+    every_collection_store().save(tmp_path / "store")
+    assert saved_files(tmp_path / "store") == want
+    Store.load(tmp_path / "store").save(tmp_path / "again")
+    assert saved_files(tmp_path / "again") == want
+
+
+@pytest.mark.parametrize("names", [(name,) for name in sorted(PINNED)] + [
+    ("users", "tweets", "follow", "followscans", "favorites", "classes", "crawlstate", "gonerefs"),
+])
+def test_a_partial_load_holds_the_pinned_records(tmp_path, names):
+    every_collection_store().save(tmp_path / "store")
+    part = Store.load(tmp_path / "store", names)
+    for name in names:
+        assert part.export_collection(name, tmp_path / name) == PINNED[name].count("\n")
+        assert (tmp_path / name).read_text(encoding="utf-8") == PINNED[name], name
+
+
 class Died(Exception):
     """The process died here."""
 
@@ -355,7 +481,7 @@ def test_read_collection_yields_saved_lines_and_records(tmp_path):
     got = list(read_collection(path))
     assert [line for line, _ in got] == path.read_text().splitlines()[:2]
     assert [rec for _, rec in got] == [model.to_record(t) for t in s.all_tweets()]
-    keep = Store.ID_FIELDS["tweets"]
+    keep = Store.COLLECTIONS["tweets"].ids
     assert [{f: rec[f] for f in keep} for _, rec in got] == [
         {"id": 11, "author": 1},
         {"id": 12, "author": 2},
