@@ -15,20 +15,25 @@ class transition its error implies (dead, suspended, protected), and its user
 goes back into the queue it came from, scan stamp unchanged, due when the
 next 900-second budget window opens. A user that keeps failing costs a loop
 at most one request per window and never holds up the users behind it. A
-failed list-members page sends its list back the same way, and a failed
-lookup batch goes back to the front of the lookup queue, which waits for the
-next window. Under the roundrobin planner, kept as a baseline, a failed
-walk's user goes back to the end of the cycle, as after any other walk.
+failed list-members page sends its list back the same way. A failed lookup
+batch goes back to the front of the lookup queue, which waits for the next
+window; a reference whose batch fails again is settled as if answered gone.
+Under the roundrobin planner, kept as a baseline, a failed walk's user goes
+back to the end of the cycle, as after any other walk.
 
-Everything runs single-threaded against a virtual clock; one orchestrator
-pass gives every loop at most one API request. Walks keep their own cursor
-state, so a rate-limit block suspends them mid-flight. Queues, walks and
-pending lookups live in memory only; a new Crawler rebuilds its queues from
-the store's crawl states.
+Everything runs single-threaded against a virtual clock, in one pass loop
+shared by run() and drain(): a pass gives every loop at most one API request,
+and a pass where nothing progressed sleeps to the next window. drain()'s
+final sweep is a third timeline-walk slot, fed with the crawlable users not
+yet swept; a failed sweep walk applies its class transition and is not
+retried. Walks keep their own cursor state, so a rate-limit block suspends
+them mid-flight. Queues, walks and pending lookups live in memory only; a new
+Crawler rebuilds its queues from the store's crawl states.
 """
 from __future__ import annotations
 
 import heapq
+import math
 import operator
 from collections import deque
 from dataclasses import dataclass, field, fields
@@ -46,7 +51,6 @@ from .apiface import (
     GONE,
     ListNotFound,
     LookupHit,
-    PlaceUnknown,
     RateLimiter,
     RetryAfter,
     UserNotFound,
@@ -229,6 +233,7 @@ class _PendingRef:
     author: UserId  # author of the referenced tweet, from the ref tuple
     referencers: set[tuple[UserId, str]]  # (referencing user, ref kind)
     gone_at: Timestamp | None = None  # first failed resolution
+    errored: bool = False  # a lookup batch holding it raised
 
 
 class _TimelineWalk:
@@ -246,7 +251,7 @@ class _TimelineWalk:
         self, user: UserId, queue: RevisitQueue | None, state: CrawlState, now: Timestamp
     ):
         self.user = user
-        self.queue = queue  # where a failed visit sends its user; None in drain
+        self.queue = queue  # where a failed visit sends its user; None for a sweep
         self.pre = state
         self.started_at = now
         self.since = state.last_seen_tweet
@@ -315,8 +320,8 @@ class Crawler:
         cfg = self.cfg
 
         # tweet crawl queues
-        self._walks: dict[str, _TimelineWalk | None] = {"expected": None, "stale": None}
-        self._walking: set[UserId] = set()
+        self._walks: dict[str, _TimelineWalk | None] = dict.fromkeys(("expected", "stale", "sweep"))
+        self._sweep: deque[UserId] = deque()  # drain's users still to visit
         self._stale = self._state_queue("last_crawled_at", cfg.min_staleness)
         self._expected = self._state_queue("last_crawled_at", 0)
         self._rr_queue: deque[UserId] = deque()
@@ -481,24 +486,27 @@ class Crawler:
 
     def _pop_tweet_user(self, queue: str) -> UserId | None:
         now = self.clock.now()
+        if queue == "sweep":
+            return self._sweep.popleft() if self._sweep else None
+        walking = {walk.user for walk in self._walks.values() if walk is not None}
         if self.cfg.planner == "roundrobin":
             for _ in range(len(self._rr_queue)):
                 u = self._rr_queue.popleft()
                 if not self._crawlable(u):
                     continue  # dropped users leave the cycle
-                if u in self._walking:
+                if u in walking:
                     self._rr_queue.append(u)
                     continue
                 return u
             return None
         if queue == "stale":
             u = self._stale.peek(now)
-            if u is None or u in self._walking:
+            if u is None or u in walking:
                 return None  # nothing stale enough yet, or the front is busy: wait
             return self._stale.pop(now)
         while (u := self._expected.pop(now)) is not None:
             state = self.store.get_crawl_state(u)
-            if u in self._walking:
+            if u in walking:
                 self._push_expected(u, state)
                 return None
             expected = state.est_rate * ((now - state.last_crawled_at) / DAY)
@@ -520,17 +528,15 @@ class Crawler:
             u = self._pop_tweet_user(queue)
             if u is None:
                 return False
-            source = self._stale if queue == "stale" else self._expected
+            source = {"expected": self._expected, "stale": self._stale}.get(queue)
             walk = _TimelineWalk(u, source, self.store.get_crawl_state(u), self.clock.now())
             self._walks[queue] = walk
-            self._walking.add(u)
         status = self._walk_step(walk)
         if status == _BLOCKED:
             return False
         if status == "done":
             self._walks[queue] = None
-            self._walking.discard(walk.user)
-            if self.cfg.planner == "roundrobin":
+            if self.cfg.planner == "roundrobin" and queue != "sweep":
                 # back into the cycle however the walk ended, error included
                 self._rr_queue.append(walk.user)
         return True
@@ -707,25 +713,35 @@ class Crawler:
             self._lookup_queue.extendleft(reversed(batch))
             return False
         if status == _ERR:
-            # counted in the request log; the whole batch waits for the next window
-            self._lookup_queue.extendleft(reversed(batch))
+            # counted in the request log; the batch waits for the next window,
+            # and a reference that failed before is answered GONE instead
             self._lookup_wait = _next_window(now)
+            retry = [tid for tid in batch if not self._pending[tid].errored]
+            for tid in batch:
+                ref = self._pending[tid]
+                if ref.errored:
+                    self._gone(tid, ref, now)
+                ref.errored = True
+            self._lookup_queue.extendleft(reversed(retry))
             return True
         for tid in batch:
-            ref = self._pending[tid]
             result = results.get(tid, GONE)
             if isinstance(result, LookupHit):
                 self.store.put_tweet(result.tweet)
                 self.store.put_snapshot(result.author)
                 self._resolve(tid, result.tweet)
-            elif ref.gone_at is None:
-                # first failure: record now, retry once later
-                ref.gone_at = now
-                self.store.add_gone_ref(ref.author, tid)
-                heapq.heappush(self._gone_retry, (now + GONE_RETRY_AFTER, tid))
             else:
-                del self._pending[tid]  # second failure is final
+                self._gone(tid, self._pending[tid], now)
         return True
+
+    def _gone(self, tid: TweetId, ref: _PendingRef, now: Timestamp) -> None:
+        if ref.gone_at is None:
+            # first failure: record now, retry once later
+            ref.gone_at = now
+            self.store.add_gone_ref(ref.author, tid)
+            heapq.heappush(self._gone_retry, (now + GONE_RETRY_AFTER, tid))
+        else:
+            del self._pending[tid]  # second failure is final
 
     # -- per-user scan loops: follow, favorites, lists, profiles -------------------------
 
@@ -877,11 +893,8 @@ class Crawler:
             if status == _BLOCKED:
                 return False
             self._last_trend[place] = now
-            if status == _ERR:
-                if isinstance(snap, PlaceUnknown):
-                    continue
-                return True
-            self.store.put_trend(snap)
+            if status == _OK:
+                self.store.put_trend(snap)
             return True
         return False
 
@@ -923,60 +936,45 @@ class Crawler:
 
     # -- main loop -------------------------------------------------------------------------
 
+    def _passes(self, steps, done: Callable[[], bool], until: float = math.inf) -> None:
+        """Run passes of `steps` until done(), sleeping no later than `until`."""
+        while not done():
+            progressed = False
+            for step in steps:
+                if step():
+                    progressed = True
+            if not progressed:
+                self.clock.sleep_until(min(_next_window(self.clock.now()), until))
+
     def run(self, until: Timestamp) -> None:
         """Crawl until the virtual clock reaches `until`. Callers wanting
         horizon-exact coverage follow up with drain(), after stopping the
         world if they can."""
-        while self.clock.now() < until:
-            progressed = False
-            for step in self._steps:
-                if step():
-                    progressed = True
-            if not progressed:
-                boundary = _next_window(self.clock.now())
-                self.clock.sleep_until(min(boundary, until))
+        self._passes(self._steps, lambda: self.clock.now() >= until, until)
 
     def drain(self) -> None:
         """Classify, sweep the timeline of every crawlable user once, flush
         pending lookups; repeat until classification stops promoting anyone
-        new, so nobody ends up tracked but unswept."""
-        for qname in self._walks:
-            # a walk suspended mid-flight holds uncommitted pages; finish it
-            # so its user is eligible for the sweep below
-            while self._walks[qname] is not None:
-                if not self._step_tweets(qname):
-                    self.clock.sleep_until(_next_window(self.clock.now()))
+        new, so nobody ends up tracked but unswept.
+
+        In-flight walks finish first. The sweep walks in the "sweep" slot,
+        beside the lookup step in run()'s pass loop: a blocked request waits
+        for the next window, a failed one applies its class transition and is
+        not retried, and a lookup batch that fails twice settles as gone."""
+        for name in self._walks:
+            step = partial(self._step_tweets, name)
+            self._passes((step,), lambda: self._walks[name] is None)
+        steps = (partial(self._step_tweets, "sweep"), self._step_lookup)
         swept: set[UserId] = set()
         while True:
             self._run_classification()
-            queue = deque(
-                u for u in self.store.users_in_class(*CRAWLABLE) if u not in swept
-            )
-            if not queue and not self._lookup_queue and not self._gone_retry_due():
+            self._sweep = deque(u for u in self.store.users_in_class(*CRAWLABLE) if u not in swept)
+            swept.update(self._sweep)
+            if self._drained():
                 break
-            walk: _TimelineWalk | None = None
-            while queue or walk or self._lookup_queue or self._gone_retry_due():
-                progressed = False
-                if walk is None and queue:
-                    u = queue.popleft()
-                    swept.add(u)
-                    if self._crawlable(u) and u not in self._walking:
-                        walk = _TimelineWalk(
-                            u, None, self.store.get_crawl_state(u), self.clock.now()
-                        )
-                        self._walking.add(u)
-                    progressed = True
-                if walk is not None:
-                    status = self._walk_step(walk)
-                    if status == "done":
-                        self._walking.discard(walk.user)
-                        walk = None
-                    if status != _BLOCKED:
-                        progressed = True
-                if self._step_lookup():
-                    progressed = True
-                if not progressed:
-                    self.clock.sleep_until(_next_window(self.clock.now()))
+            self._passes(steps, self._drained)
 
-    def _gone_retry_due(self) -> bool:
-        return bool(self._gone_retry) and self._gone_retry[0][0] <= self.clock.now()
+    def _drained(self) -> bool:
+        """Nothing to sweep, no sweep walk in flight, no lookup queued or due."""
+        due = self._gone_retry and self._gone_retry[0][0] <= self.clock.now()
+        return not (self._sweep or self._walks["sweep"] or self._lookup_queue or due)

@@ -221,7 +221,6 @@ class SimUser:
     tweets: list[Tweet] = field(default_factory=list)
     tweet_ids: list[TweetId] = field(default_factory=list)
     friends: list[UserId] = field(default_factory=list)
-    friends_set: set[UserId] = field(default_factory=set)
     followers: list[UserId] = field(default_factory=list)
     liked_ids: list[TweetId] = field(default_factory=list)  # sorted by tweet id
     likes: dict[TweetId, FavoriteRecord] = field(default_factory=dict)
@@ -275,8 +274,7 @@ class World:
         self.now: Timestamp = cfg.start_time
         self.users: dict[UserId, SimUser] = {}
         self.mixed_users: set[UserId] = set()
-        self.tweets_by_id: dict[TweetId, Tweet] = {}
-        self.tweet_log: list[Tweet] = []  # creation order == id order
+        self.tweet_log: list[Tweet] = []  # ids are dense from 1: tweet id i is tweet_log[i - 1]
         self.lists: dict[ListId, ListRecord] = {}
         self.list_members: dict[ListId, list[UserId]] = {}
         self.list_subscribers: dict[ListId, list[UserId]] = {}
@@ -415,13 +413,12 @@ class World:
                 community = rng.choice(others) if cross else user.community
                 for _ in range(20):
                     v = pick(community)
-                    if v != uid and v not in user.friends_set:
+                    if v != uid and v not in user.friends:
                         self._add_edge(uid, v)
                         break
 
     def _add_edge(self, src: UserId, dst: UserId) -> None:
         self.users[src].friends.append(dst)
-        self.users[src].friends_set.add(dst)
         self.users[dst].followers.append(src)
 
     def _build_lists(self, rng: random.Random) -> None:
@@ -618,7 +615,6 @@ class World:
         )
         user.tweets.append(tweet)
         user.tweet_ids.append(tid)
-        self.tweets_by_id[tid] = tweet
         self.tweet_log.append(tweet)
         if hashtags:
             for tag in hashtags:
@@ -697,10 +693,12 @@ class World:
         return out
 
     def emit_like(self, u: UserId, tweet_id: TweetId) -> None:
-        self._record_like(self.users[u], self.tweets_by_id[tweet_id])
+        if not 0 < tweet_id <= len(self.tweet_log):
+            raise KeyError(tweet_id)
+        self._record_like(self.users[u], self.tweet_log[tweet_id - 1])
 
     def follow(self, src: UserId, dst: UserId) -> None:
-        if dst not in self.users[src].friends_set and src != dst:
+        if dst not in self.users[src].friends and src != dst:
             self._add_edge(src, dst)
 
     def churn_user(self, u: UserId, status: str) -> None:
@@ -767,7 +765,7 @@ class World:
         out: dict[TweetId, LookupResult] = {}
         hits = 0
         for tid in ids:
-            tweet = self.tweets_by_id.get(tid)
+            tweet = self.tweet_log[tid - 1] if 0 < tid <= len(self.tweet_log) else None
             if tweet is None or self.users[tweet.author].status != "ok":
                 out[tid] = GONE
                 continue

@@ -1,16 +1,17 @@
 """Scheduler behavior on controlled single-user worlds: timeline-walk request
 arithmetic, the favorites walk's stop rule, rate estimation, ref seeding."""
 
+import hashlib
 from collections import Counter
 from dataclasses import replace
 
 import pytest
 
-from langcrawl.apiface import DEFAULT_BUDGETS, ApiError, Endpoint, RateLimiter
+from langcrawl.apiface import DEFAULT_BUDGETS, ApiError, Endpoint, RateLimiter, UserSuspended
 from langcrawl.model import UserClass
-from langcrawl.sched import Crawler, SchedulerConfig, SimClock
+from langcrawl.sched import GONE_RETRY_AFTER, TRENDS_PERIOD, Crawler, SchedulerConfig, SimClock
 from langcrawl.simnet import DAY, World, WorldConfig
-from langcrawl.store import Store
+from langcrawl.store import Store, dumps
 
 
 def one_user_rig(seed=11, loops=("tweets",), **cfg_kw):
@@ -497,3 +498,157 @@ def test_walk_that_fetches_a_profile_keeps_its_user_in_the_profiles_queue():
         for st in store.crawl_states.values()
     )
     assert set(store.users_in_class(UserClass.TRACKED, UserClass.TARGET)) <= live
+
+
+class FailEveryKth:
+    """A World whose every k-th user_timeline or users_show call, once armed,
+    raises: UserSuspended and a plain ApiError in turn."""
+
+    def __init__(self, world, k):
+        self.world = world
+        self.k = k
+        self.calls = 0
+        self.armed = False
+
+    def __getattr__(self, name):
+        call = getattr(self.world, name)
+        if name not in ("user_timeline", "users_show"):
+            return call
+
+        def wrapped(*args, **kwargs):
+            if self.armed:
+                self.calls += 1
+                if self.calls % self.k == 0:
+                    if (self.calls // self.k) % 2:
+                        raise UserSuspended("failing sweep request")
+                    raise ApiError("failing sweep request")
+            return call(*args, **kwargs)
+
+        return wrapped
+
+
+def tight_limiter() -> RateLimiter:
+    """4 timeline, 1 lookup and 2 profile requests per window."""
+    budgets = dict(DEFAULT_BUDGETS)
+    tight = {Endpoint.USER_TIMELINE: 4, Endpoint.STATUSES_LOOKUP: 1, Endpoint.USERS_SHOW: 2}
+    for e, n in tight.items():
+        budgets[e] = replace(budgets[e], max_requests=n)
+    return RateLimiter(budgets)
+
+
+DRAIN_PINS = {
+    # planner, world seed, tweets a day: request log digest and length,
+    # saved store digest
+    ("priority", 5, (0.5, 50.0)): ("c16dc45d077751f3", 1493, "4c3e3063467a6a10"),
+    ("priority", 5, (50.0, 400.0)): ("fdb29149b8336d17", 2455, "d3de9b7dd8b397f3"),
+    ("roundrobin", 31, (0.5, 50.0)): ("3146fceb60bfefea", 2463, "95543162293eb4e9"),
+}
+
+
+@pytest.mark.parametrize("planner, seed, activity", sorted(DRAIN_PINS))
+def test_blocked_failing_drain_is_pinned(planner, seed, activity, tmp_path):
+    # Tight budgets block the sweep across windows, and every 7th sweep
+    # request fails, which applies its class transition without a retry.
+    # Busy users make sweep walks fetch profiles, some of which fail; under
+    # roundrobin both tweet walks are still in flight at the freeze.
+    w = World(
+        WorldConfig(
+            seed=seed,
+            n_users=120,
+            community_fractions={"el": 0.6, "en": 0.4},
+            mixed_fraction=0.1,
+            activity_min=activity[0],
+            activity_max=activity[1],
+            churn_suspend_daily=0.01,
+            churn_delete_daily=0.01,
+            churn_protect_daily=0.01,
+        )
+    )
+    api = FailEveryKth(w, 7)
+    store = Store()
+    crawler = Crawler(api, store, tight_limiter(), SimClock(w), SchedulerConfig(planner=planner))
+    crawler.run(w.cfg.start_time + 3 * DAY)
+    w.frozen = True
+    api.armed = True
+    mark, frozen_at = len(crawler.log), w.now
+    crawler.drain()
+
+    swept = Counter(r["outcome"] for r in crawler.log[mark:] if r["endpoint"] == "user_timeline")
+    assert swept["api_error"] and swept["suspended"], swept
+    assert w.now > frozen_at, "the sweep was never blocked"
+    store.save(tmp_path)
+    saved = hashlib.sha256()
+    for p in sorted(tmp_path.iterdir()):
+        saved.update(p.name.encode())
+        saved.update(p.read_bytes())
+    log = "\n".join(dumps(r) for r in crawler.log).encode()
+    assert (
+        hashlib.sha256(log).hexdigest()[:16], len(crawler.log), saved.hexdigest()[:16]
+    ) == DRAIN_PINS[planner, seed, activity]
+
+
+class LookupAlwaysFails:
+    """A World whose every statuses_lookup, once armed, raises an ApiError,
+    and that stops the crawl with a RuntimeError after 100 of them."""
+
+    def __init__(self, world):
+        self.world = world
+        self.armed = False
+        self.batches: list[list] = []
+
+    def __getattr__(self, name):
+        return getattr(self.world, name)
+
+    def statuses_lookup(self, ids):
+        if not self.armed:
+            return self.world.statuses_lookup(ids)
+        if len(self.batches) >= 100:
+            raise RuntimeError("the same lookup batch is retried without end")
+        self.batches.append(list(ids))
+        raise ApiError("transient")
+
+
+def test_lookup_batch_failing_twice_is_recorded_as_gone():
+    w = lookup_world()
+    api = LookupAlwaysFails(w)
+    store = Store()
+    crawler = Crawler(api, store, RateLimiter(), SimClock(w), SchedulerConfig())
+    crawler.run(w.cfg.start_time + DAY)
+    w.frozen = True
+    api.armed = True
+    mark = len(crawler.log)
+    crawler.drain()
+
+    asked = Counter(tid for batch in api.batches for tid in batch)
+    assert asked, "no lookup was made"
+    assert max(asked.values()) == 2  # the batch, then its one retry
+    assert not crawler._lookup_queue
+    times = [r["at"] for r in crawler.log[mark:] if r["endpoint"] == "statuses_lookup"]
+    assert len(times) == len(api.batches)
+    assert all(b >= (a // 900 + 1) * 900 for a, b in zip(times, times[1:]))
+    for tid in asked:
+        ref = crawler._pending.get(tid)
+        assert store.get_tweet(tid) is not None or (
+            ref is not None and ref.gone_at is not None and tid in store.gone_refs[ref.author]
+        )
+
+    # a week on, the one retry of a gone reference fails too, and that is final
+    w.advance(GONE_RETRY_AFTER)
+    crawler.drain()
+    asked = Counter(tid for batch in api.batches for tid in batch)
+    assert max(asked.values()) == 3
+    assert not set(asked) & set(crawler._pending)
+
+
+def test_unknown_place_ends_the_trends_step():
+    w = World(WorldConfig(seed=5, n_users=20))
+    places = ("Nowhere", "Worldwide")
+    cfg = SchedulerConfig(loops=("trends",), places=places)
+    crawler = Crawler(w, Store(), RateLimiter(), SimClock(w), cfg)
+    assert crawler._step_trends()
+    assert [r["target"] for r in crawler.log] == ["Nowhere"]
+
+    crawler.run(w.now + 2 * 3600)
+    for place in places:
+        times = [r["at"] for r in crawler.log if r["target"] == place]
+        assert times == [w.cfg.start_time + k * TRENDS_PERIOD for k in range(8)]

@@ -86,6 +86,8 @@ def test_advance_after_scripted_tweets_never_runs_the_clock_backward():
     w.advance(2 * DAY)
     ats = [t.created_at for t in w.tweet_log]
     assert ats == sorted(ats)
+    # ids are dense from 1 across organic and scripted tweets alike
+    assert [t.id for t in w.tweet_log] == list(range(1, len(w.tweet_log) + 1))
 
 
 def test_frozen_world_stops_organic_activity_but_serves_api():
@@ -124,6 +126,9 @@ def test_emit_like_and_emit_kinds():
     assert any(
         r.user == b and r.tweet == target.id and r.tweet_author == a for r in recs
     )
+    for missing in (0, len(w.tweet_log) + 1):
+        with pytest.raises(KeyError):
+            w.emit_like(b, missing)
 
 
 def test_churn_hides_user_from_api():
@@ -179,6 +184,9 @@ def test_statuses_lookup_hits_and_gone():
     res = w.statuses_lookup([t.id, 1 << 60])
     assert res[t.id].tweet.id == t.id
     assert res[1 << 60] is GONE
+    # ids outside 1..len(tweet_log) were never made
+    res = w.statuses_lookup([0, -1, len(w.tweet_log) + 1])
+    assert all(r is GONE for r in res.values())
     w.churn_user(users[0], "deleted")
     assert w.statuses_lookup([t.id])[t.id] is GONE
 
