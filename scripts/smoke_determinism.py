@@ -23,7 +23,7 @@ print("runlog ", hashlib.sha256(log_blob).hexdigest()[:16], len(crawler.log))
 import tempfile
 from pathlib import Path
 
-from langcrawl.model import UserClass
+from langcrawl.model import CRAWLABLE
 from langcrawl.vectorize import Vectorizer, export_vectors
 
 with tempfile.TemporaryDirectory() as d:
@@ -35,7 +35,7 @@ with tempfile.TemporaryDirectory() as d:
     print("export ", h.hexdigest()[:16])
 
     vec = Vectorizer(store)
-    users = sorted(store.users_in_class(UserClass.TRACKED, UserClass.TARGET))
+    users = sorted(store.users_in_class(*CRAWLABLE))
     vpath = Path(d) / "vectors.jsonl"
     export_vectors(vec, users, w.now, vpath)
     print("vectors", hashlib.sha256(vpath.read_bytes()).hexdigest()[:16], len(users))

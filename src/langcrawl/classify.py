@@ -29,6 +29,18 @@ UNSEEDABLE = frozenset(
     }
 )
 
+# The decision rule. Counts are strict lower bounds, shares are inclusive for
+# membership and strict for the two stop rules.
+RULE1_MIN_TWEETS = 100  # high-share membership: more tweets than this...
+RULE1_MIN_PCT = 0.20  # ...and at least this target-language share
+RULE2_MIN_TWEETS = 500  # profile-backed membership: more tweets than this...
+RULE2_MIN_PCT = 0.10  # ...at least this share, and a name-or-bio match
+STOP_MIN_TWEETS = 500  # the stop rule and the daily sweep judge only past this
+STOP_MAX_PCT = 0.01  # stop: a share below this
+DAILY_STOP_PCT = 0.02  # daily sweep: a tracked user's share below this
+NEIGHBOR_MIN_FRACTION = 0.30  # neighbour vote: a Target share above this
+RETWEET_SEED_COUNT = 10  # distinct retweeted originals that seed an unknown author
+
 
 @dataclass(frozen=True)
 class LangStats:
@@ -54,16 +66,9 @@ def lang_stats(store: Store, u: UserId, target_lang: str) -> LangStats:
 
 @dataclass(frozen=True)
 class ClassifierConfig:
+    """Which community is targeted; the decision rule is the constants above."""
+
     target_lang: str = "el"
-    rule1_min_tweets: int = 100
-    rule1_min_pct: float = 0.20
-    rule2_min_tweets: int = 500
-    rule2_min_pct: float = 0.10
-    stop_min_tweets: int = 500
-    stop_max_pct: float = 0.01
-    daily_stop_pct: float = 0.02
-    neighbor_min_fraction: float = 0.30
-    retweet_seed_count: int = 10
     script_ranges: tuple[tuple[int, int], ...] = lex.TARGET_SCRIPT_RANGES
     common_names_file: str = ""  # empty -> packaged default lexicon
 
@@ -103,50 +108,44 @@ def classify_user(
     common_names: frozenset[str],
 ) -> Verdict:
     total, pct = stats.seen_total, stats.pct_target
-    if total > cfg.rule1_min_tweets and pct >= cfg.rule1_min_pct:
+    if total > RULE1_MIN_TWEETS and pct >= RULE1_MIN_PCT:
         return Verdict.TARGET
     if (
-        total > cfg.rule2_min_tweets
-        and pct >= cfg.rule2_min_pct
+        total > RULE2_MIN_TWEETS
+        and pct >= RULE2_MIN_PCT
         and name_or_bio_matches(snapshot, cfg, common_names)
     ):
         return Verdict.TARGET
     # membership checks take precedence over the stop check by construction:
     # both rules above returned already
-    if total > cfg.stop_min_tweets and pct < cfg.stop_max_pct:
+    if total > STOP_MIN_TWEETS and pct < STOP_MAX_PCT:
         return Verdict.STOP
     return Verdict.INCONCLUSIVE
 
 
-def neighbor_resolve(
-    u: UserId, neighbor_classes: dict[UserId, UserClass], cfg: ClassifierConfig
-) -> Verdict:
-    """Promote an undecided user when strictly more than the configured
-    fraction of their deduplicated friends-or-followers set is Target."""
-    if not neighbor_classes:
-        return Verdict.INCONCLUSIVE
-    targets = sum(1 for c in neighbor_classes.values() if c is UserClass.TARGET)
-    if targets / len(neighbor_classes) > cfg.neighbor_min_fraction:
+def neighbor_resolve(targets: int, total: int) -> Verdict:
+    """Promote an undecided user when strictly more than NEIGHBOR_MIN_FRACTION
+    of their `total` deduplicated friends-or-followers are Target; an empty
+    neighbourhood decides nothing."""
+    if total and targets / total > NEIGHBOR_MIN_FRACTION:
         return Verdict.TARGET
     return Verdict.INCONCLUSIVE
 
 
-def retweet_seed(evidence: int, cfg: ClassifierConfig) -> bool:
+def retweet_seed(evidence: int) -> bool:
     """Track an unknown author once enough distinct target-language tweets of
     theirs were retweeted by users we already follow. Retweeter multiplicity
     does not count; the caller keeps one entry per distinct tweet."""
-    return evidence >= cfg.retweet_seed_count
+    return evidence >= RETWEET_SEED_COUNT
 
 
-def daily_pass(
-    tracked_stats: list[LangStats], cfg: ClassifierConfig
-) -> list[UserId]:
+def daily_pass(tracked_stats: list[LangStats]) -> list[UserId]:
     """The demotion sweep: tracked (non-Target) users whose stored share of
     target-language tweets fell below the daily threshold."""
     return [
         s.user
         for s in tracked_stats
-        if s.seen_total > cfg.stop_min_tweets and s.pct_target < cfg.daily_stop_pct
+        if s.seen_total > STOP_MIN_TWEETS and s.pct_target < DAILY_STOP_PCT
     ]
 
 
@@ -193,17 +192,17 @@ def run_classification(
 
     for u in store.users_in_class(UserClass.TRACKED):
         stats = stats_of(u)
-        if stats.seen_total > 0 and stats.pct_target < cfg.stop_max_pct:
+        if stats.seen_total > 0 and stats.pct_target < STOP_MAX_PCT:
             # own tweets trend toward the stop rule; a promotion now would be
             # sticky and contradict the eventual stop verdict
             continue
         neighbors = store.friends_ever(u) | store.followers_ever(u)
         neighbors.discard(u)
-        classes = {v: store.user_class(v) for v in neighbors}
-        if neighbor_resolve(u, classes, cfg) is Verdict.TARGET:
+        targets = sum(1 for v in neighbors if store.user_class(v) is UserClass.TARGET)
+        if neighbor_resolve(targets, len(neighbors)) is Verdict.TARGET:
             _apply(store, report, u, UserClass.TARGET, now)
 
-    for u in daily_pass([stats_of(u) for u in store.users_in_class(UserClass.TRACKED)], cfg):
+    for u in daily_pass([stats_of(u) for u in store.users_in_class(UserClass.TRACKED)]):
         _apply(store, report, u, UserClass.STOPPED, now)
 
     return report

@@ -39,7 +39,7 @@ from .graphmine import (
     write_degree_csv,
     write_edges,
 )
-from .model import UserClass, load_config
+from .model import CRAWLABLE, load_config
 from .sched import Crawler, SchedulerConfig, SimClock
 from .simnet import DAY, World, WorldConfig
 from .store import Store, dumps, finish_swap, read_collection
@@ -59,7 +59,6 @@ class RunManifest:
     world_config: str
     store_dir: str
     horizon_days: float
-    seed: int | None = None
     scheduler_config: str | None = None
     classifier_config: str | None = None
 
@@ -67,7 +66,12 @@ class RunManifest:
     def load(cls, path: str | Path) -> "RunManifest":
         # relative paths mean "next to the manifest file"
         m = load_config(cls, path).with_paths(lambda p: str(Path(path).parent / p))
-        m.validate()
+        if m.horizon_days <= 0:
+            raise ManifestError(f"horizon_days must be positive, got {m.horizon_days}")
+        for label in ("world_config", "scheduler_config", "classifier_config"):
+            p = getattr(m, label)
+            if p is not None and not Path(p).is_file():
+                raise ManifestError(f"{label} does not exist: {p}")
         return m
 
     def with_paths(self, fn: Callable[[str], str]) -> "RunManifest":
@@ -75,17 +79,6 @@ class RunManifest:
         names = ("world_config", "store_dir", "scheduler_config", "classifier_config")
         paths = {f: fn(getattr(self, f)) for f in names if getattr(self, f) is not None}
         return dataclasses.replace(self, **paths)
-
-    def validate(self) -> None:
-        if self.horizon_days <= 0:
-            raise ManifestError(f"horizon_days must be positive, got {self.horizon_days}")
-        for label, p in (
-            ("world_config", self.world_config),
-            ("scheduler_config", self.scheduler_config),
-            ("classifier_config", self.classifier_config),
-        ):
-            if p is not None and not Path(p).is_file():
-                raise ManifestError(f"{label} does not exist: {p}")
 
     def to_json(self) -> str:
         return json.dumps(dataclasses.asdict(self), sort_keys=True, indent=2)
@@ -138,10 +131,7 @@ def _store_now(store: Store) -> int:
 
 
 def cmd_simnet_generate(args: argparse.Namespace) -> int:
-    cfg = load_config(WorldConfig, args.config)
-    if args.seed is not None:
-        cfg = dataclasses.replace(cfg, seed=args.seed)
-    world = World(cfg)
+    world = World(load_config(WorldConfig, args.config))
     if args.horizon_days:
         world.advance(int(args.horizon_days * DAY))
     out = Path(args.out)
@@ -153,17 +143,7 @@ def cmd_simnet_generate(args: argparse.Namespace) -> int:
 
 def cmd_crawl(args: argparse.Namespace) -> int:
     manifest = RunManifest.load(args.config)
-    if args.store:
-        manifest = dataclasses.replace(manifest, store_dir=args.store)
-    if args.seed is not None:
-        manifest = dataclasses.replace(manifest, seed=args.seed)
-    if args.horizon_days is not None:
-        manifest = dataclasses.replace(manifest, horizon_days=args.horizon_days)
-        manifest.validate()
-
     wcfg = load_config(WorldConfig, manifest.world_config)
-    if manifest.seed is not None:
-        wcfg = dataclasses.replace(wcfg, seed=manifest.seed)
     scfg = (
         load_config(SchedulerConfig, manifest.scheduler_config)
         if manifest.scheduler_config
@@ -199,9 +179,7 @@ def cmd_crawl(args: argparse.Namespace) -> int:
                 "store": str(paths["root"]),
                 "requests": len(crawler.log),
                 "tweets": len(store.tweets),
-                "users_tracked": len(
-                    store.users_in_class(UserClass.TRACKED, UserClass.TARGET)
-                ),
+                "users_tracked": len(store.users_in_class(*CRAWLABLE)),
             }
         )
     )
@@ -274,7 +252,7 @@ def cmd_vectorize(args: argparse.Namespace) -> int:
     store = _load_store(args.store, VECTORIZE_READS)
     as_of = args.as_of if args.as_of is not None else _store_now(store)
     if args.users == "all":
-        users = sorted(store.users_in_class(UserClass.TRACKED, UserClass.TARGET))
+        users = sorted(store.users_in_class(*CRAWLABLE))
     else:
         users = [int(u) for u in args.users.split(",") if u]
     out_dir = _store_paths(args.store)["report"]
@@ -311,7 +289,7 @@ def cmd_report(args: argparse.Namespace) -> int:
                 rec = json.loads(line)
                 if "uid" in rec:
                     truth[rec["uid"]] = rec["tweets"]
-    crawled = sorted(store.users_in_class(UserClass.TRACKED, UserClass.TARGET))
+    crawled = sorted(store.users_in_class(*CRAWLABLE))
     with open(coverage_csv, "w", encoding="utf-8") as fh:
         fh.write("user,stored,truth,pct\n")
         for u in crawled:
@@ -383,15 +361,11 @@ def build_parser() -> argparse.ArgumentParser:
     g = sub.add_parser("simnet-generate", help="materialize a synthetic world")
     g.add_argument("--config", required=True, help="world config JSON")
     g.add_argument("--out", required=True, help="output JSONL path")
-    g.add_argument("--seed", type=int, default=None)
     g.add_argument("--horizon-days", type=float, default=0.0)
     g.set_defaults(fn=cmd_simnet_generate)
 
     c = sub.add_parser("crawl", help="run a crawl per manifest")
     c.add_argument("--config", required=True, help="run manifest JSON")
-    c.add_argument("--store", default=None, help="override manifest store dir")
-    c.add_argument("--seed", type=int, default=None)
-    c.add_argument("--horizon-days", type=float, default=None)
     c.set_defaults(fn=cmd_crawl)
 
     cl = sub.add_parser("classify", help="(re)classify users in a store")

@@ -57,6 +57,9 @@ class UserClass(enum.Enum):
     PROTECTED = "protected"
 
 
+CRAWLABLE = (UserClass.TRACKED, UserClass.TARGET)  # the classes the crawler visits
+
+
 def _record(cls: type) -> type:
     """A frozen, slotted dataclass whose __init__ sets each slot directly.
 

@@ -58,6 +58,7 @@ from .apiface import (
     UserSuspended,
 )
 from .model import (
+    CRAWLABLE,
     CrawlState,
     FollowEdge,
     FollowScan,
@@ -74,8 +75,6 @@ from .model import (
 from .store import PutTweetResult, Store
 
 DAY = 86400
-
-CRAWLABLE = (UserClass.TRACKED, UserClass.TARGET)
 
 FAVORITES_KNOWN_STOP = 191  # strictly more than 190 known likes end a favorites walk
 TRENDS_PERIOD = 900  # seconds between two polls of one place's trends
@@ -445,12 +444,14 @@ class Crawler:
         return self.store.user_class(u) in CRAWLABLE
 
     def _state_queue(self, stamp: str, window: int) -> RevisitQueue:
-        """A queue keyed on one CrawlState scan stamp."""
-        return RevisitQueue(
-            lambda u: getattr(self.store.crawl_states.get(u), stamp, None) or -1,
-            self._crawlable,
-            window,
-        )
+        """A queue keyed on one CrawlState scan stamp, -1 before the first
+        scan (a stamp of 0 is a scan at the epoch)."""
+
+        def key_of(u: UserId) -> Timestamp:
+            at = getattr(self.store.crawl_states.get(u), stamp, None)
+            return -1 if at is None else at
+
+        return RevisitQueue(key_of, self._crawlable, window)
 
     def _enqueue_user(self, u: UserId) -> None:
         """Make a newly tracked user visible to every per-user loop."""
@@ -632,7 +633,7 @@ class Crawler:
             state,
             first_seen_tweet=first,
             last_seen_tweet=last,
-            first_crawled_at=state.first_crawled_at or now,
+            first_crawled_at=now if state.first_crawled_at is None else state.first_crawled_at,
             last_crawled_at=now,
             cap_reached=state.cap_reached or cap_hit,
             profile_fetched_at=now if walk.fetched_profile else state.profile_fetched_at,
@@ -672,7 +673,7 @@ class Crawler:
             return
         tweets = self._evidence.setdefault(candidate, set())
         tweets.add(original.id)
-        if cls.retweet_seed(len(tweets), self.ccfg):
+        if cls.retweet_seed(len(tweets)):
             self.track_user(candidate, self.clock.now())
             del self._evidence[candidate]
 

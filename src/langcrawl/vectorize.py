@@ -8,7 +8,7 @@ the authoritative order.
 Family functions are pure: they take prepared inputs and return a dict for
 their slice of the vector. Vectorizer wires them to a Store, shares the
 expensive whole-corpus state (interaction graphs, follow snapshot, favorite
-maps) across users, and caches finished vectors until the store changes.
+maps) across users.
 
 Each tweet a user wrote (anything but a retweet) is read once, by
 read_authored, into an Authored record: its lowercased text, its tokens from
@@ -41,7 +41,7 @@ from .lexicons import (
     in_ranges,
     load_default,
 )
-from .model import CrawlState, Timestamp, Tweet, UserClass, UserId, UserSnapshot
+from .model import CRAWLABLE, CrawlState, Timestamp, Tweet, UserClass, UserId, UserSnapshot
 from .store import Store
 
 DAY = 86400
@@ -487,8 +487,6 @@ def interaction_features(
 
 # -- relation family -------------------------------------------------------------
 
-TRACKED_CLASSES = (UserClass.TRACKED, UserClass.TARGET)
-
 
 def relation_features(
     u: UserId,
@@ -513,7 +511,7 @@ def relation_features(
         return sum(1 for v in users if classes.get(v) is UserClass.TARGET)
 
     def tr(users: set[UserId]) -> int:
-        return sum(1 for v in users if classes.get(v) in TRACKED_CLASSES)
+        return sum(1 for v in users if classes.get(v) in CRAWLABLE)
 
     both = fr & fo
     union = fr | fo

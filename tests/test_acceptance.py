@@ -290,17 +290,15 @@ def test_criterion_06_threshold_constants():
         LangStats(3, 500, 0),   # volume gate not met
         LangStats(4, 600, 12),  # exactly 2% -> keep
     ]
-    assert daily_pass(rows, cfg) == [1]
+    assert daily_pass(rows) == [1]
 
     # neighbor vote needs strictly more than 30% confirmed neighbors
-    t, o = UserClass.TARGET, UserClass.TRACKED
-    make = lambda n_t, n_o: {i: (t if i < n_t else o) for i in range(n_t + n_o)}
-    assert neighbor_resolve(1, make(31, 69), cfg) is Verdict.TARGET
-    assert neighbor_resolve(1, make(30, 70), cfg) is Verdict.INCONCLUSIVE
+    assert neighbor_resolve(31, 100) is Verdict.TARGET
+    assert neighbor_resolve(30, 100) is Verdict.INCONCLUSIVE
 
     # ten distinct retweeted originals seed an unknown author
-    assert retweet_seed(10, cfg)
-    assert not retweet_seed(9, cfg)
+    assert retweet_seed(10)
+    assert not retweet_seed(9)
 
 
 # -- criterion 7: graph extraction oracle ---------------------------------------

@@ -84,17 +84,15 @@ def test_name_or_bio_matches():
 
 
 def test_neighbor_vote_strictly_above_fraction():
-    t, o = UserClass.TARGET, UserClass.TRACKED
-    make = lambda n_t, n_o: {i: (t if i < n_t else o) for i in range(n_t + n_o)}
-    assert neighbor_resolve(1, make(31, 69), CFG) is Verdict.TARGET
-    assert neighbor_resolve(1, make(30, 70), CFG) is Verdict.INCONCLUSIVE
-    assert neighbor_resolve(1, {}, CFG) is Verdict.INCONCLUSIVE
-    assert neighbor_resolve(1, make(1, 0), CFG) is Verdict.TARGET
+    assert neighbor_resolve(31, 100) is Verdict.TARGET
+    assert neighbor_resolve(30, 100) is Verdict.INCONCLUSIVE
+    assert neighbor_resolve(0, 0) is Verdict.INCONCLUSIVE
+    assert neighbor_resolve(1, 1) is Verdict.TARGET
 
 
 def test_retweet_seed_threshold():
-    assert retweet_seed(10, CFG)
-    assert not retweet_seed(9, CFG)
+    assert retweet_seed(10)
+    assert not retweet_seed(9)
 
 
 def test_daily_pass_rows():
@@ -104,7 +102,7 @@ def test_daily_pass_rows():
         LangStats(3, 500, 0),   # not enough volume yet
         LangStats(4, 600, 12),  # exactly 2.0%, keep
     ]
-    assert daily_pass(rows, CFG) == [1]
+    assert daily_pass(rows) == [1]
 
 
 @given(

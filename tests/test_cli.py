@@ -88,6 +88,10 @@ def test_manifest_rejects_unknown_fields_and_bad_horizon(tmp_path):
                              "horizon_days": 0}))
     with pytest.raises(Exception):
         RunManifest.load(p)
+    p.write_text(json.dumps({"world_config": "world.json", "store_dir": "r",
+                             "horizon_days": 1, "seed": 7}))
+    with pytest.raises(ValueError, match="seed"):
+        RunManifest.load(p)
 
 
 def test_simnet_generate_deterministic(tmp_path, capsys):

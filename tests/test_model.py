@@ -237,6 +237,11 @@ def test_load_config_refuses_a_retired_scheduler_knob(tmp_path):
         model.load_config(SchedulerConfig, config_file(tmp_path, {"rate_ema_alpha": 0.5}))
 
 
+def test_load_config_refuses_a_retired_classifier_threshold(tmp_path):
+    with pytest.raises(ValueError, match="rule1_min_pct"):
+        model.load_config(ClassifierConfig, config_file(tmp_path, {"rule1_min_pct": 0.5}))
+
+
 def test_load_config_reads_tuples_and_keeps_defaults(tmp_path):
     scfg = model.load_config(SchedulerConfig, config_file(tmp_path, {"loops": ["tweets"]}))
     assert scfg == SchedulerConfig(loops=("tweets",))

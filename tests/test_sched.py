@@ -7,7 +7,7 @@ from dataclasses import replace
 
 import pytest
 
-from langcrawl.apiface import DEFAULT_BUDGETS, ApiError, Endpoint, RateLimiter, UserSuspended
+from langcrawl.apiface import DEFAULT_BUDGETS, WINDOW, ApiError, Endpoint, RateLimiter, UserSuspended
 from langcrawl.model import UserClass
 from langcrawl.sched import GONE_RETRY_AFTER, TRENDS_PERIOD, Crawler, SchedulerConfig, SimClock
 from langcrawl.simnet import DAY, World, WorldConfig
@@ -652,3 +652,19 @@ def test_unknown_place_ends_the_trends_step():
     for place in places:
         times = [r["at"] for r in crawler.log if r["target"] == place]
         assert times == [w.cfg.start_time + k * TRENDS_PERIOD for k in range(8)]
+
+
+@pytest.mark.parametrize("loop,endpoint", [("tweets", "user_timeline"), ("profiles", "users_show")])
+def test_a_scan_stamped_at_time_zero_counts_as_a_scan(loop, endpoint):
+    """A world that starts at the epoch stamps its first scans 0. Each user is
+    still visited once in two windows, and its first crawl stays at 0."""
+    w = World(WorldConfig(seed=3, n_users=20, start_time=0))
+    store = Store()
+    for u in sorted(w.users):
+        store.set_class(u, UserClass.TRACKED, w.now)
+    crawler = Crawler(w, store, RateLimiter(), SimClock(w), SchedulerConfig(loops=(loop,)))
+    crawler.run(2 * WINDOW)
+    per_user = Counter(r["target"] for r in crawler.log if r["endpoint"] == endpoint)
+    assert per_user == dict.fromkeys(w.users, 1)
+    if loop == "tweets":
+        assert {s.first_crawled_at for s in store.crawl_states.values()} == {0}
