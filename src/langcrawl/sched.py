@@ -18,8 +18,8 @@ at most one request per window and never holds up the users behind it. A
 failed list-members page sends its list back the same way. A failed lookup
 batch goes back to the front of the lookup queue, which waits for the next
 window; a reference whose batch fails again is settled as if answered gone.
-Under the roundrobin planner, kept as a baseline, a failed walk's user goes
-back to the end of the cycle, as after any other walk.
+Under the roundrobin planner, kept as a baseline, both tweet walk slots visit
+one cycle of users, and a walk's user goes back to its end however it ended.
 
 Everything runs single-threaded against a virtual clock, in one pass loop
 shared by run() and drain(): a pass gives every loop at most one API request,
@@ -27,8 +27,14 @@ and a pass where nothing progressed sleeps to the next window. drain()'s
 final sweep is a third timeline-walk slot, fed with the crawlable users not
 yet swept; a failed sweep walk applies its class transition and is not
 retried. Walks keep their own cursor state, so a rate-limit block suspends
-them mid-flight. Queues, walks and pending lookups live in memory only; a new
-Crawler rebuilds its queues from the store's crawl states.
+them mid-flight.
+
+Crawler.state, a CrawlerState of plain values, is all a crawl keeps in
+memory between two steps, except the limiter's windows, the request log and
+the store. A fresh Crawler built on the same store, world and limiter
+continues the crawl once handed it (`fresh.state = state`); without one, it
+rebuilds its queues from the store's crawl states. Writing the state to a
+file, to resume in a new process, is not done yet.
 """
 from __future__ import annotations
 
@@ -83,6 +89,9 @@ CLASSIFY_PERIOD = DAY
 STREAM_PERIOD = 900  # seconds between two stream reads
 STREAM_READ_SIZE = 5000  # most tweets one stream read takes
 RATE_EMA_ALPHA = 0.3  # weight of the latest visit in a user's tweet-rate estimate
+
+LIST_KINDS = ("memberships", "ownerships", "subscriptions")
+_LIST_PHASES = (*LIST_KINDS, "members")  # the lists loop takes them in turn
 
 
 @dataclass(frozen=True)
@@ -177,54 +186,20 @@ def _updated(state: CrawlState, **changes) -> CrawlState:
     return CrawlState(*values)
 
 
+@dataclass
 class RevisitQueue:
-    """Users due for a revisit, soonest first.
+    """Users due for a revisit, soonest first: a heap of (due, key, user).
 
-    Entries are (due, key, user). `key` is the user's scan stamp when the
-    entry was pushed, -1 before the first scan, and `due` is key + window (-1
-    for a user never scanned) unless the caller names another moment. An
-    entry whose key no longer matches key_of(user) was superseded by a later
-    scan, and it is dropped once it is at the front and due, as is a user for
-    whom live(user) has turned false. Both are final (scan stamps only grow,
-    and a user that stops being crawlable never becomes crawlable again), so
-    an entry that is not yet due is not looked at.
+    `key` is the user's scan stamp named `stamp` when the entry was pushed, -1
+    before the first scan, and `due` is key + window (-1 for a user never
+    scanned) unless the pusher names another moment. The crawler's _push,
+    _peek and _pop keep the heap. Entries are totally ordered tuples, so which
+    user pops when depends on the entries alone, not on the heap's layout.
     """
 
-    def __init__(
-        self,
-        key_of: Callable[[UserId], Timestamp],
-        live: Callable[[UserId], bool],
-        window: int = 0,
-    ) -> None:
-        self.key_of = key_of
-        self.live = live
-        self.window = window
-        self._heap: list[tuple[Timestamp, Timestamp, UserId]] = []
-
-    def push(self, u: UserId, due: Timestamp | None = None) -> None:
-        key = self.key_of(u)
-        if due is None:
-            due = key + self.window if key >= 0 else -1
-        heapq.heappush(self._heap, (due, key, u))
-
-    def peek(self, now: Timestamp) -> UserId | None:
-        """The front user if it is due at `now`, without removing it."""
-        heap = self._heap
-        while heap:
-            due, key, u = heap[0]
-            if due > now:
-                return None
-            if self.key_of(u) == key and self.live(u):
-                return u
-            heapq.heappop(heap)
-        return None
-
-    def pop(self, now: Timestamp) -> UserId | None:
-        """Remove and return the front user if it is due at `now`."""
-        u = self.peek(now)
-        if u is not None:
-            heapq.heappop(self._heap)
-        return u
+    stamp: str
+    window: int = 0
+    heap: list[tuple[Timestamp, Timestamp, UserId]] = field(default_factory=list)
 
 
 @dataclass
@@ -235,6 +210,7 @@ class _PendingRef:
     errored: bool = False  # a lookup batch holding it raised
 
 
+@dataclass
 class _TimelineWalk:
     """One user visit: max-id descent from newest down to the last tweet seen
     previously, bounded by the platform's depth cap.
@@ -246,31 +222,24 @@ class _TimelineWalk:
     uncovered history inflates it), so arming never terminates early.
     """
 
-    def __init__(
-        self, user: UserId, queue: RevisitQueue | None, state: CrawlState, now: Timestamp
-    ):
-        self.user = user
-        self.queue = queue  # where a failed visit sends its user; None for a sweep
-        self.pre = state
-        self.started_at = now
-        self.since = state.last_seen_tweet
-        self.max_id: TweetId | None = None
-        self.seen = 0
-        self.stored = 0
-        self.min_seen: TweetId | None = None
-        self.max_seen: TweetId | None = None
-        self.delta: int | None = None
-        self.last_page_full = False
-        self.fetched_profile = False
-
-    def needs_arming(self) -> bool:
-        return self.last_page_full and self.delta is None
+    user: UserId
+    source: str  # the queue the user came from, which takes it back after a failure
+    started_at: Timestamp
+    first_seen: TweetId | None  # the covered id range before the visit
+    since: TweetId | None
+    seen: int = 0
+    stored: int = 0
+    min_seen: TweetId | None = None
+    max_seen: TweetId | None = None
+    delta: int | None = None
+    last_page_full: bool = False
+    fetched_profile: bool = False
 
 
 @dataclass
 class _ScanWalk:
     """One visit of a scan loop: the endpoint being paged, its cursor (a
-    follow cursor or the favorites max_id), and what the commit needs."""
+    follow cursor or the favorites max_id), and what its last page needs."""
 
     user: UserId
     phase: int = 0
@@ -282,19 +251,40 @@ class _ScanWalk:
 @dataclass
 class _ScanLoop:
     """A per-user loop that revisits every crawlable user a window after its
-    last scan. A visit requests `endpoints` in turn, each through `fetch`
-    until `take` has stored a page and returns no further cursor; `commit`
-    then stamps the scan and the user is queued again. A paged visit holds
-    its user from its start through rate-limit blocks; a one-request visit
-    leaves its user queued until the request is granted."""
+    last scan. A visit requests `endpoints` in turn, each until `take` has
+    stored a page and returns no further cursor; then the scan is stamped and
+    the user queued again. A paged visit holds its user from its start through
+    rate-limit blocks; a one-request visit leaves its user queued until the
+    request is granted."""
 
     endpoints: tuple[Endpoint, ...]
-    queue: RevisitQueue
-    fetch: Callable[[Endpoint, _ScanWalk], object]
     take: Callable[[_ScanWalk, object], int | None]
-    commit: Callable[[_ScanWalk], None]
     paged: bool = True
-    walk: _ScanWalk | None = None
+
+
+@dataclass
+class CrawlerState:
+    """A crawl's memory between two steps, as plain values (see the module docstring)."""
+
+    queues: dict[str, RevisitQueue]  # the nine per-user revisit queues, by loop
+    walks: dict[str, _TimelineWalk | None]  # the timeline-walk slots
+    list_scan_at: dict[str, dict[UserId, Timestamp]]  # each list kind's scan stamps
+    sweep: deque[UserId] = field(default_factory=deque)  # drain's users still to visit
+    cycle: deque[UserId] = field(default_factory=deque)  # the roundrobin planner's users
+    pending: dict[TweetId, _PendingRef] = field(default_factory=dict)
+    lookup_queue: deque[TweetId] = field(default_factory=deque)
+    lookup_wait: Timestamp = 0  # no lookup before this; set by a failed batch
+    gone_retry: list[tuple[Timestamp, TweetId]] = field(default_factory=list)  # a heap
+    evidence: dict[UserId, set[TweetId]] = field(default_factory=dict)
+    scan_walks: dict[str, _ScanWalk] = field(default_factory=dict)  # paged visits in flight
+    member_queue: deque[ListId] = field(default_factory=deque)
+    member_cursor: int | None = None
+    member_retry: deque[tuple[Timestamp, ListId]] = field(default_factory=deque)
+    lists_seen: set[ListId] = field(default_factory=set)  # every list ever queued for members
+    list_phase: int = 0
+    last_trend: dict[str, Timestamp] = field(default_factory=dict)
+    last_stream: Timestamp | None = None
+    last_classify: Timestamp | None = None
 
 
 class Crawler:
@@ -318,72 +308,38 @@ class Crawler:
         self.log: list[dict] = []
         cfg = self.cfg
 
-        # tweet crawl queues
-        self._walks: dict[str, _TimelineWalk | None] = dict.fromkeys(("expected", "stale", "sweep"))
-        self._sweep: deque[UserId] = deque()  # drain's users still to visit
-        self._stale = self._state_queue("last_crawled_at", cfg.min_staleness)
-        self._expected = self._state_queue("last_crawled_at", 0)
-        self._rr_queue: deque[UserId] = deque()
+        # The planner's one decision: the queue each timeline-walk slot pops
+        # its users from. A tracked user joins each of these queues.
+        slots = ("cycle", "cycle") if cfg.planner == "roundrobin" else ("expected", "stale")
+        self._feeds = {"expected": slots[0], "stale": slots[1], "sweep": "sweep"}
+        self._tweet_queues = tuple(dict.fromkeys(slots))
 
-        # lookups
-        self._pending: dict[TweetId, _PendingRef] = {}
-        self._lookup_queue: deque[TweetId] = deque()
-        self._gone_retry: list[tuple[Timestamp, TweetId]] = []
-        self._lookup_wait: Timestamp = 0  # no lookup before this; set by a failed batch
-        self._evidence: dict[UserId, set[TweetId]] = {}
-
-        # per-user scan loops: endpoints, queue, fetch, take a page, commit
-        def by_cursor(e: Endpoint, walk: _ScanWalk):
-            return getattr(self.api, e.value)(walk.user, cursor=walk.cursor)
-
-        def once(e: Endpoint, walk: _ScanWalk):
-            return getattr(self.api, e.value)(walk.user)
-
-        def likes(e: Endpoint, walk: _ScanWalk):
-            return self.api.favorites_list(walk.user, max_id=walk.cursor, count=self._page(e))
-
+        # per-user scan loops: endpoints, take a page
         self._scans: dict[str, _ScanLoop] = {}
         for kind in ("friends", "followers"):
-            self._scans[kind] = _ScanLoop(
-                (Endpoint(f"{kind}_ids"), Endpoint(f"{kind}_list")),
-                self._state_queue(f"{kind}_scanned_at", cfg.follow_recrawl_window),
-                by_cursor, self._take_follow, partial(self._commit_follow, kind),
-            )
-        self._scans["favorites"] = _ScanLoop(
-            (Endpoint.FAVORITES_LIST,),
-            self._state_queue("favorites_scanned_at", cfg.favorites_recrawl_window),
-            likes, self._take_favorites, partial(self._stamp, "favorites_scanned_at"),
-        )
-        self._list_scan_at: dict[str, dict[UserId, Timestamp]] = {
-            k: {} for k in ("memberships", "ownerships", "subscriptions")
-        }
-        for kind, scan_at in self._list_scan_at.items():
-            queue = RevisitQueue(
-                lambda u, scan_at=scan_at: scan_at.get(u, -1),
-                self._crawlable,
-                cfg.lists_recrawl_window,
-            )
-            self._scans[kind] = _ScanLoop(
-                (Endpoint(f"lists_{kind}"),), queue, once,
-                partial(self._take_lists, kind), partial(self._commit_lists, scan_at),
-                paged=False,
-            )
-        self._scans["profiles"] = _ScanLoop(
-            (Endpoint.USERS_SHOW,),
-            self._state_queue("profile_fetched_at", cfg.profile_refresh_window),
-            once, self._take_profile, partial(self._stamp, "profile_fetched_at"),
-            paged=False,
-        )
-        self._member_queue: deque[ListId] = deque()
-        self._member_cursor = None
-        self._lists_seen: set[ListId] = set()  # every list ever queued for members
-        self._member_retry: deque[tuple[Timestamp, ListId]] = deque()
-        self._list_phase = 0
+            endpoints = (Endpoint(f"{kind}_ids"), Endpoint(f"{kind}_list"))
+            self._scans[kind] = _ScanLoop(endpoints, partial(self._take_follow, kind))
+        self._scans["favorites"] = _ScanLoop((Endpoint.FAVORITES_LIST,), self._take_favorites)
+        for kind in LIST_KINDS:
+            take = partial(self._take_lists, kind)
+            self._scans[kind] = _ScanLoop((Endpoint(f"lists_{kind}"),), take, paged=False)
+        self._scans["profiles"] = _ScanLoop((Endpoint.USERS_SHOW,), self._take_profile, paged=False)
 
-        self._last_trend: dict[str, Timestamp] = {}
-        self._last_stream: Timestamp | None = None
-        self._last_classify: Timestamp | None = None
-
+        # each queue names the stamp it is keyed on: a CrawlState field, or a
+        # list kind whose stamps the state keeps in list_scan_at
+        self.state = CrawlerState(
+            {
+                "expected": RevisitQueue("last_crawled_at"),
+                "stale": RevisitQueue("last_crawled_at", cfg.min_staleness),
+                "friends": RevisitQueue("friends_scanned_at", cfg.follow_recrawl_window),
+                "followers": RevisitQueue("followers_scanned_at", cfg.follow_recrawl_window),
+                "favorites": RevisitQueue("favorites_scanned_at", cfg.favorites_recrawl_window),
+                **{kind: RevisitQueue(kind, cfg.lists_recrawl_window) for kind in LIST_KINDS},
+                "profiles": RevisitQueue("profile_fetched_at", cfg.profile_refresh_window),
+            },
+            dict.fromkeys(("expected", "stale", "sweep")),
+            {kind: {} for kind in LIST_KINDS},
+        )
         for u in self.store.users_in_class(*CRAWLABLE):
             self._enqueue_user(u)
 
@@ -404,62 +360,99 @@ class Crawler:
 
     # -- plumbing ---------------------------------------------------------------
 
-    def _log_request(self, endpoint: Endpoint, target, outcome: str) -> None:
-        self.log.append(
-            {
-                "endpoint": endpoint.value,
-                "target": target,
-                "at": self.clock.now(),
-                "outcome": outcome,
-            }
-        )
-
     def _request(self, endpoint: Endpoint, target, call: Callable):
-        if isinstance(self.limiter.acquire(endpoint, self.clock.now()), RetryAfter):
+        """Make one request if the limiter grants it, and log it."""
+        now = self.clock.now()
+        if isinstance(self.limiter.acquire(endpoint, now), RetryAfter):
             return _BLOCKED, None
         try:
-            value = call()
+            status, value, outcome = _OK, call(), _OK
         except ApiError as exc:
+            status, value = _ERR, exc
             outcome, _ = _USER_ERRORS.get(type(exc), ("api_error", None))
-            self._log_request(endpoint, target, outcome)
-            return _ERR, exc
-        self._log_request(endpoint, target, _OK)
-        return _OK, value
+        self.log.append(
+            {"endpoint": endpoint.value, "target": target, "at": now, "outcome": outcome}
+        )
+        return status, value
 
     def _page(self, endpoint: Endpoint) -> int:
         return self.limiter.budgets[endpoint].page_size
 
-    def _on_error(self, u: UserId, exc: ApiError, queue: RevisitQueue | None) -> None:
+    def _on_error(self, u: UserId, exc: ApiError, source: str) -> None:
         """The error policy of every per-user request: apply the class
-        transition the error implies, then put u back in the queue it came
-        from, scan stamp unchanged, due when the next budget window opens."""
+        transition the error implies, then put u back in the revisit queue it
+        came from, scan stamp unchanged, due when the next budget window
+        opens. (_step_tweets puts a cycle walk's user back.)"""
         now = self.clock.now()
         _, new = _USER_ERRORS.get(type(exc), (None, None))
         if new is not None:
             self.store.set_class(u, new, now)
-        if queue is not None:
-            queue.push(u, due=_next_window(now))
+        if source in self.state.queues:
+            self._push(source, u, due=_next_window(now))
 
     def _crawlable(self, u: UserId) -> bool:
         return self.store.user_class(u) in CRAWLABLE
 
-    def _state_queue(self, stamp: str, window: int) -> RevisitQueue:
-        """A queue keyed on one CrawlState scan stamp, -1 before the first
-        scan (a stamp of 0 is a scan at the epoch)."""
+    def _key(self, stamp: str, u: UserId) -> Timestamp:
+        """u's scan stamp `stamp`, -1 before the first scan (0 is the epoch)."""
+        scans = self.state.list_scan_at.get(stamp)
+        at = getattr(self.store.crawl_states.get(u), stamp, None) if scans is None else scans.get(u)
+        return -1 if at is None else at
 
-        def key_of(u: UserId) -> Timestamp:
-            at = getattr(self.store.crawl_states.get(u), stamp, None)
-            return -1 if at is None else at
+    def _set_stamp(self, stamp: str, u: UserId) -> None:
+        now = self.clock.now()
+        if stamp in self.state.list_scan_at:
+            self.state.list_scan_at[stamp][u] = now
+        else:
+            self.store.put_crawl_state(_updated(self.store.get_crawl_state(u), **{stamp: now}))
 
-        return RevisitQueue(key_of, self._crawlable, window)
+    def _push(self, name: str, u: UserId, due: Timestamp | None = None) -> None:
+        queue = self.state.queues[name]
+        key = self._key(queue.stamp, u)
+        if due is None:
+            due = key + queue.window if key >= 0 else -1
+        heapq.heappush(queue.heap, (due, key, u))
+
+    def _peek(self, name: str, now: Timestamp) -> UserId | None:
+        """The front user of queue `name` if it is due at `now`, left queued.
+        An entry whose key is no longer its user's stamp was superseded by a
+        later scan, and it is dropped once it is at the front and due, as is a
+        user no longer crawlable. Both are final (stamps only grow, and a user
+        that stops being crawlable never becomes crawlable again), so an entry
+        that is not yet due is not looked at."""
+        queue = self.state.queues[name]
+        heap = queue.heap
+        while heap:
+            due, key, u = heap[0]
+            if due > now:
+                return None
+            if self._key(queue.stamp, u) == key and self._crawlable(u):
+                return u
+            heapq.heappop(heap)
+        return None
+
+    def _pop(self, name: str, now: Timestamp) -> UserId | None:
+        """Remove and return the front user of queue `name` if it is due."""
+        u = self._peek(name, now)
+        if u is not None:
+            heapq.heappop(self.state.queues[name].heap)
+        return u
+
+    def _queue_tweets(self, name: str, u: UserId) -> None:
+        """Queue u for a timeline walk from the tweet queue `name`."""
+        if name == "cycle":
+            self.state.cycle.append(u)
+        elif name == "expected":
+            self._push_expected(u, self.store.get_crawl_state(u))
+        else:
+            self._push(name, u)
 
     def _enqueue_user(self, u: UserId) -> None:
         """Make a newly tracked user visible to every per-user loop."""
-        self._stale.push(u)
-        self._push_expected(u, self.store.get_crawl_state(u))
-        self._rr_queue.append(u)
-        for loop in self._scans.values():
-            loop.queue.push(u)
+        for name in self._tweet_queues:
+            self._queue_tweets(name, u)
+        for name in self._scans:
+            self._push(name, u)
 
     def _eligible_at(self, state: CrawlState) -> Timestamp | None:
         """When target_batch tweets are expected to have accrued since the
@@ -474,7 +467,7 @@ class Crawler:
     def _push_expected(self, u: UserId, state: CrawlState) -> None:
         eligible_at = self._eligible_at(state)
         if eligible_at is not None:
-            self._expected.push(u, due=eligible_at)
+            self._push("expected", u, due=eligible_at)
 
     def track_user(self, u: UserId, at: Timestamp) -> bool:
         if self.store.user_class(u) is not UserClass.UNKNOWN:
@@ -485,27 +478,29 @@ class Crawler:
 
     # -- tweet crawl --------------------------------------------------------------
 
-    def _pop_tweet_user(self, queue: str) -> UserId | None:
+    def _pop_tweet_user(self, slot: str) -> UserId | None:
+        st = self.state
+        source = self._feeds[slot]
+        if source == "sweep":
+            return st.sweep.popleft() if st.sweep else None
         now = self.clock.now()
-        if queue == "sweep":
-            return self._sweep.popleft() if self._sweep else None
-        walking = {walk.user for walk in self._walks.values() if walk is not None}
-        if self.cfg.planner == "roundrobin":
-            for _ in range(len(self._rr_queue)):
-                u = self._rr_queue.popleft()
+        walking = {walk.user for walk in st.walks.values() if walk is not None}
+        if source == "cycle":
+            for _ in range(len(st.cycle)):
+                u = st.cycle.popleft()
                 if not self._crawlable(u):
                     continue  # dropped users leave the cycle
                 if u in walking:
-                    self._rr_queue.append(u)
+                    st.cycle.append(u)
                     continue
                 return u
             return None
-        if queue == "stale":
-            u = self._stale.peek(now)
+        if source == "stale":
+            u = self._peek("stale", now)
             if u is None or u in walking:
                 return None  # nothing stale enough yet, or the front is busy: wait
-            return self._stale.pop(now)
-        while (u := self._expected.pop(now)) is not None:
+            return self._pop("stale", now)
+        while (u := self._pop("expected", now)) is not None:
             state = self.store.get_crawl_state(u)
             if u in walking:
                 self._push_expected(u, state)
@@ -523,27 +518,29 @@ class Crawler:
             return u
         return None
 
-    def _step_tweets(self, queue: str) -> bool:
-        walk = self._walks[queue]
+    def _step_tweets(self, slot: str) -> bool:
+        walks = self.state.walks
+        walk = walks[slot]
         if walk is None:
-            u = self._pop_tweet_user(queue)
+            u = self._pop_tweet_user(slot)
             if u is None:
                 return False
-            source = {"expected": self._expected, "stale": self._stale}.get(queue)
-            walk = _TimelineWalk(u, source, self.store.get_crawl_state(u), self.clock.now())
-            self._walks[queue] = walk
+            st = self.store.get_crawl_state(u)
+            walk = _TimelineWalk(
+                u, self._feeds[slot], self.clock.now(), st.first_seen_tweet, st.last_seen_tweet
+            )
+            walks[slot] = walk
         status = self._walk_step(walk)
         if status == _BLOCKED:
             return False
         if status == "done":
-            self._walks[queue] = None
-            if self.cfg.planner == "roundrobin" and queue != "sweep":
-                # back into the cycle however the walk ended, error included
-                self._rr_queue.append(walk.user)
+            walks[slot] = None
+            if walk.source == "cycle":  # back to its end however the walk ended
+                self.state.cycle.append(walk.user)
         return True
 
     def _walk_step(self, walk: _TimelineWalk) -> str:
-        if walk.needs_arming():
+        if walk.last_page_full and walk.delta is None:  # arm the stop count
             snap = self.store.latest_snapshot(walk.user)
             if snap is None or snap.observed_at < walk.started_at:
                 status, result = self._request(
@@ -553,16 +550,14 @@ class Crawler:
                     return _BLOCKED
                 if status == _ERR:
                     # state deliberately untouched: no progress lost
-                    self._on_error(walk.user, result, walk.queue)
+                    self._on_error(walk.user, result, walk.source)
                     return "done"
                 self.store.put_snapshot(result)
                 walk.fetched_profile = True
                 snap = result
             walk.delta = max(
                 snap.tweet_count
-                - self.store.count_tweets_between(
-                    walk.user, walk.pre.first_seen_tweet, walk.pre.last_seen_tweet
-                ),
+                - self.store.count_tweets_between(walk.user, walk.first_seen, walk.since),
                 0,
             )
             if walk.seen >= walk.delta:
@@ -572,17 +567,18 @@ class Crawler:
                 return "progress"
 
         page_size = self._page(Endpoint.USER_TIMELINE)
+        max_id = None if walk.min_seen is None else walk.min_seen - 1  # below the pages seen
         status, page = self._request(
             Endpoint.USER_TIMELINE,
             walk.user,
             lambda: self.api.user_timeline(
-                walk.user, since=walk.since, max_id=walk.max_id, count=page_size
+                walk.user, since=walk.since, max_id=max_id, count=page_size
             ),
         )
         if status == _BLOCKED:
             return _BLOCKED
         if status == _ERR:
-            self._on_error(walk.user, page, walk.queue)
+            self._on_error(walk.user, page, walk.source)
             return "done"
 
         for t in page:
@@ -604,7 +600,6 @@ class Crawler:
         ):
             self._finish_walk(walk)
             return "done"
-        walk.max_id = walk.min_seen - 1
         return "progress"
 
     def _finish_walk(self, walk: _TimelineWalk) -> None:
@@ -640,11 +635,12 @@ class Crawler:
             est_rate=est,
         )
         self.store.put_crawl_state(state)
-        self._stale.push(walk.user)
-        self._push_expected(walk.user, state)
+        # the new stamps supersede the user's entries (_step_tweets refills the cycle)
+        for name in self._tweet_queues:
+            if name != "cycle":
+                self._queue_tweets(name, walk.user)
         if walk.fetched_profile:
-            # the new stamp supersedes the user's profiles-queue entry
-            self._scans["profiles"].queue.push(walk.user)
+            self._push("profiles", walk.user)
 
     # -- lookups -------------------------------------------------------------------
 
@@ -654,10 +650,10 @@ class Crawler:
             if existing is not None:
                 self._note_evidence(existing, t.author, kind)
                 continue
-            ref = self._pending.get(tid)
+            ref = self.state.pending.get(tid)
             if ref is None:
-                self._pending[tid] = _PendingRef(author, {(t.author, kind)})
-                self._lookup_queue.append(tid)
+                self.state.pending[tid] = _PendingRef(author, {(t.author, kind)})
+                self.state.lookup_queue.append(tid)
             else:
                 ref.referencers.add((t.author, kind))
 
@@ -671,33 +667,34 @@ class Crawler:
             return
         if self.store.user_class(referencer) not in CRAWLABLE:
             return
-        tweets = self._evidence.setdefault(candidate, set())
+        tweets = self.state.evidence.setdefault(candidate, set())
         tweets.add(original.id)
         if cls.retweet_seed(len(tweets)):
             self.track_user(candidate, self.clock.now())
-            del self._evidence[candidate]
+            del self.state.evidence[candidate]
 
     def _resolve(self, tid: TweetId, tweet: Tweet) -> None:
         """Settle the pending reference to tid, whose tweet is now stored."""
-        ref = self._pending.pop(tid)
+        ref = self.state.pending.pop(tid)
         if ref.gone_at is not None:
             self.store.discard_gone_ref(ref.author, tid)
         for referencer, kind in sorted(ref.referencers):
             self._note_evidence(tweet, referencer, kind)
 
     def _step_lookup(self) -> bool:
+        st = self.state
         now = self.clock.now()
-        while self._gone_retry and self._gone_retry[0][0] <= now:
-            _, tid = heapq.heappop(self._gone_retry)
-            if tid in self._pending:
-                self._lookup_queue.append(tid)
-        if not self._lookup_queue or now < self._lookup_wait:
+        while st.gone_retry and st.gone_retry[0][0] <= now:
+            _, tid = heapq.heappop(st.gone_retry)
+            if tid in st.pending:
+                st.lookup_queue.append(tid)
+        if not st.lookup_queue or now < st.lookup_wait:
             return False
         batch_size = self._page(Endpoint.STATUSES_LOOKUP)
         batch: list[TweetId] = []
-        while self._lookup_queue and len(batch) < batch_size:
-            tid = self._lookup_queue.popleft()
-            ref = self._pending.get(tid)
+        while st.lookup_queue and len(batch) < batch_size:
+            tid = st.lookup_queue.popleft()
+            ref = st.pending.get(tid)
             if ref is None or tid in batch:
                 continue
             stored = self.store.get_tweet(tid)
@@ -711,19 +708,19 @@ class Crawler:
             Endpoint.STATUSES_LOOKUP, len(batch), lambda: self.api.statuses_lookup(batch)
         )
         if status == _BLOCKED:
-            self._lookup_queue.extendleft(reversed(batch))
+            st.lookup_queue.extendleft(reversed(batch))
             return False
         if status == _ERR:
             # counted in the request log; the batch waits for the next window,
             # and a reference that failed before is answered GONE instead
-            self._lookup_wait = _next_window(now)
-            retry = [tid for tid in batch if not self._pending[tid].errored]
+            st.lookup_wait = _next_window(now)
+            retry = [tid for tid in batch if not st.pending[tid].errored]
             for tid in batch:
-                ref = self._pending[tid]
+                ref = st.pending[tid]
                 if ref.errored:
                     self._gone(tid, ref, now)
                 ref.errored = True
-            self._lookup_queue.extendleft(reversed(retry))
+            st.lookup_queue.extendleft(reversed(retry))
             return True
         for tid in batch:
             result = results.get(tid, GONE)
@@ -732,7 +729,7 @@ class Crawler:
                 self.store.put_snapshot(result.author)
                 self._resolve(tid, result.tweet)
             else:
-                self._gone(tid, self._pending[tid], now)
+                self._gone(tid, st.pending[tid], now)
         return True
 
     def _gone(self, tid: TweetId, ref: _PendingRef, now: Timestamp) -> None:
@@ -740,63 +737,66 @@ class Crawler:
             # first failure: record now, retry once later
             ref.gone_at = now
             self.store.add_gone_ref(ref.author, tid)
-            heapq.heappush(self._gone_retry, (now + GONE_RETRY_AFTER, tid))
+            heapq.heappush(self.state.gone_retry, (now + GONE_RETRY_AFTER, tid))
         else:
-            del self._pending[tid]  # second failure is final
+            del self.state.pending[tid]  # second failure is final
 
     # -- per-user scan loops: follow, favorites, lists, profiles -------------------------
 
     def _step_scan(self, name: str) -> bool:
         loop = self._scans[name]
+        walks = self.state.scan_walks
         now = self.clock.now()
-        walk = loop.walk
+        walk = walks.get(name)
         if walk is None:
-            u = loop.queue.peek(now)
+            u = self._peek(name, now)
             if u is None:
                 return False
             walk = _ScanWalk(u)
             if loop.paged:
-                loop.queue.pop(now)
-                loop.walk = walk
+                self._pop(name, now)
+                walks[name] = walk
         endpoint = loop.endpoints[walk.phase]
-        status, result = self._request(endpoint, walk.user, lambda: loop.fetch(endpoint, walk))
+        status, result = self._request(endpoint, walk.user, lambda: self._fetch(endpoint, walk))
         if status == _BLOCKED:
             return False
         if not loop.paged:
-            loop.queue.pop(now)
+            self._pop(name, now)
         if status == _ERR:
-            loop.walk = None
-            self._on_error(walk.user, result, loop.queue)
+            walks.pop(name, None)
+            self._on_error(walk.user, result, name)
             return True
         walk.cursor = loop.take(walk, result)
         if walk.cursor is None:
             walk.phase += 1
             if walk.phase == len(loop.endpoints):
-                loop.walk = None
-                loop.commit(walk)
-                loop.queue.push(walk.user)
+                walks.pop(name, None)
+                self._set_stamp(self.state.queues[name].stamp, walk.user)
+                self._push(name, walk.user)
         return True
 
-    def _stamp(self, stamp: str, walk: _ScanWalk) -> None:
-        state = self.store.get_crawl_state(walk.user)
-        self.store.put_crawl_state(_updated(state, **{stamp: self.clock.now()}))
+    def _fetch(self, e: Endpoint, walk: _ScanWalk):
+        """A scan visit's next page: favorites below the max_id cursor, any
+        other paged endpoint by its cursor once it has one."""
+        call = getattr(self.api, e.value)
+        if e is Endpoint.FAVORITES_LIST:
+            return call(walk.user, max_id=walk.cursor, count=self._page(e))
+        return call(walk.user) if walk.cursor is None else call(walk.user, cursor=walk.cursor)
 
-    def _take_follow(self, walk: _ScanWalk, result) -> int | None:
+    def _take_follow(self, kind: str, walk: _ScanWalk, result) -> int | None:
         items, nxt = result
         if walk.phase == 0:
             walk.ids.extend(items)
-        else:
-            for s in items:
-                self.store.put_snapshot(s)
+            return nxt
+        for s in items:
+            self.store.put_snapshot(s)
+        if nxt is None:  # the visit's last page: record the edges its id pages named
+            now = self.clock.now()
+            for v in walk.ids:
+                src, dst = (walk.user, v) if kind == "friends" else (v, walk.user)
+                self.store.append_follow(FollowEdge(src=src, dst=dst, observed_at=now))
+            self.store.record_follow_scan(FollowScan(kind=kind, subject=walk.user, at=now))
         return nxt
-
-    def _commit_follow(self, kind: str, walk: _ScanWalk) -> None:
-        now = self.clock.now()
-        for v in walk.ids:
-            src, dst = (walk.user, v) if kind == "friends" else (v, walk.user)
-            self.store.append_follow(FollowEdge(src=src, dst=dst, observed_at=now))
-        self.store.record_follow_scan(FollowScan(kind=kind, subject=walk.user, at=now))
-        self._stamp(f"{kind}_scanned_at", walk)
 
     def _take_favorites(self, walk: _ScanWalk, page) -> int | None:
         for rec in page:
@@ -825,67 +825,62 @@ class Crawler:
                 self.store.put_subscription(
                     ListSubscription(list_id=record.id, subscriber=walk.user, observed_at=now)
                 )
-            if record.id not in self._lists_seen:
-                self._lists_seen.add(record.id)
-                self._member_queue.append(record.id)
-
-    def _commit_lists(self, scan_at: dict[UserId, Timestamp], walk: _ScanWalk) -> None:
-        scan_at[walk.user] = self.clock.now()
+            if record.id not in self.state.lists_seen:
+                self.state.lists_seen.add(record.id)
+                self.state.member_queue.append(record.id)
 
     def _take_profile(self, walk: _ScanWalk, snap) -> None:
         self.store.put_snapshot(snap)
 
     def _step_lists(self) -> bool:
+        st = self.state
         for _ in range(4):
-            phase = ("memberships", "ownerships", "subscriptions", "members")[
-                self._list_phase
-            ]
-            self._list_phase = (self._list_phase + 1) % 4
-            if phase == "members":
-                if self._step_list_members():
-                    return True
-            elif self._step_scan(phase):
+            phase = _LIST_PHASES[st.list_phase]
+            st.list_phase = (st.list_phase + 1) % 4
+            if self._step_list_members() if phase == "members" else self._step_scan(phase):
                 return True
         return False
 
     def _step_list_members(self) -> bool:
+        st = self.state
         now = self.clock.now()
-        while self._member_retry and self._member_retry[0][0] <= now:
-            self._member_queue.append(self._member_retry.popleft()[1])
-        if not self._member_queue:
+        while st.member_retry and st.member_retry[0][0] <= now:
+            st.member_queue.append(st.member_retry.popleft()[1])
+        if not st.member_queue:
             return False
-        list_id = self._member_queue[0]
+        list_id = st.member_queue[0]
         status, result = self._request(
             Endpoint.LISTS_MEMBERS,
             list_id,
-            lambda: self.api.lists_members(list_id, cursor=self._member_cursor),
+            lambda: self.api.lists_members(list_id, cursor=st.member_cursor),
         )
         if status == _BLOCKED:
             return False
         if status == _ERR:
             # a vanished list is dropped; any other failure restarts the list
             # at the back of the queue once the next budget window opens
-            self._member_queue.popleft()
-            self._member_cursor = None
+            st.member_queue.popleft()
+            st.member_cursor = None
             if not isinstance(result, ListNotFound):
-                self._member_retry.append((_next_window(now), list_id))
+                st.member_retry.append((_next_window(now), list_id))
             return True
         ids, nxt = result
         for member in ids:
             self.store.put_membership(
                 ListMembership(list_id=list_id, member=member, observed_at=now)
             )
-        self._member_cursor = nxt
+        st.member_cursor = nxt
         if nxt is None:
-            self._member_queue.popleft()
+            st.member_queue.popleft()
         return True
 
     # -- trends / stream / classify ----------------------------------------------------------
 
     def _step_trends(self) -> bool:
         now = self.clock.now()
+        last_trend = self.state.last_trend
         for place in self.cfg.places:
-            last = self._last_trend.get(place)
+            last = last_trend.get(place)
             if last is not None and now - last < TRENDS_PERIOD:
                 continue
             status, snap = self._request(
@@ -893,7 +888,7 @@ class Crawler:
             )
             if status == _BLOCKED:
                 return False
-            self._last_trend[place] = now
+            last_trend[place] = now
             if status == _OK:
                 self.store.put_trend(snap)
             return True
@@ -901,7 +896,7 @@ class Crawler:
 
     def _step_stream(self) -> bool:
         now = self.clock.now()
-        if self._last_stream is not None and now - self._last_stream < STREAM_PERIOD:
+        if self.state.last_stream is not None and now - self.state.last_stream < STREAM_PERIOD:
             return False
         status, tweets = self._request(
             Endpoint.STREAM_FILTER,
@@ -910,7 +905,7 @@ class Crawler:
         )
         if status == _BLOCKED:
             return False
-        self._last_stream = now
+        self.state.last_stream = now
         if status == _ERR:
             return True
         for t in tweets:
@@ -921,14 +916,15 @@ class Crawler:
 
     def _step_classify(self) -> bool:
         now = self.clock.now()
-        if self._last_classify is not None and now - self._last_classify < CLASSIFY_PERIOD:
+        last = self.state.last_classify
+        if last is not None and now - last < CLASSIFY_PERIOD:
             return False
         self._run_classification()
         return True
 
     def _run_classification(self) -> cls.ClassificationReport:
         now = self.clock.now()
-        self._last_classify = now
+        self.state.last_classify = now
         report = cls.run_classification(self.store, self.ccfg, self.common_names, now)
         for u, old, new in report.transitions:
             if old == UserClass.UNKNOWN.value and new == UserClass.TRACKED.value:
@@ -962,20 +958,22 @@ class Crawler:
         beside the lookup step in run()'s pass loop: a blocked request waits
         for the next window, a failed one applies its class transition and is
         not retried, and a lookup batch that fails twice settles as gone."""
-        for name in self._walks:
+        for name in self.state.walks:
             step = partial(self._step_tweets, name)
-            self._passes((step,), lambda: self._walks[name] is None)
+            self._passes((step,), lambda: self.state.walks[name] is None)
         steps = (partial(self._step_tweets, "sweep"), self._step_lookup)
         swept: set[UserId] = set()
         while True:
             self._run_classification()
-            self._sweep = deque(u for u in self.store.users_in_class(*CRAWLABLE) if u not in swept)
-            swept.update(self._sweep)
+            st = self.state
+            st.sweep = deque(u for u in self.store.users_in_class(*CRAWLABLE) if u not in swept)
+            swept.update(st.sweep)
             if self._drained():
                 break
             self._passes(steps, self._drained)
 
     def _drained(self) -> bool:
         """Nothing to sweep, no sweep walk in flight, no lookup queued or due."""
-        due = self._gone_retry and self._gone_retry[0][0] <= self.clock.now()
-        return not (self._sweep or self._walks["sweep"] or self._lookup_queue or due)
+        st = self.state
+        due = st.gone_retry and st.gone_retry[0][0] <= self.clock.now()
+        return not (st.sweep or st.walks["sweep"] or st.lookup_queue or due)

@@ -101,7 +101,7 @@ def _timeline_visit(crawler) -> int:
     """Drive one stale-queue walk to completion, count page fetches."""
     mark = len(crawler.log)
     assert crawler._step_tweets("stale"), "no walk started"
-    while crawler._walks["stale"] is not None:
+    while crawler.state.walks["stale"] is not None:
         assert crawler._step_tweets("stale"), "walk stalled"
     return sum(1 for r in crawler.log[mark:] if r["endpoint"] == "user_timeline")
 

@@ -1,12 +1,18 @@
 """Scheduler behavior on controlled single-user worlds: timeline-walk request
-arithmetic, the favorites walk's stop rule, rate estimation, ref seeding."""
+arithmetic, the favorites walk's stop rule, rate estimation, ref seeding; and
+the crawler's state: plain data, handed over to a fresh Crawler mid-crawl."""
 
 import hashlib
-from collections import Counter
-from dataclasses import replace
+import math
+import pickle
+import random
+from collections import Counter, deque
+from dataclasses import fields, is_dataclass, replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from langcrawl import sched
 from langcrawl.apiface import DEFAULT_BUDGETS, WINDOW, ApiError, Endpoint, RateLimiter, UserSuspended
 from langcrawl.model import UserClass
 from langcrawl.sched import GONE_RETRY_AFTER, TRENDS_PERIOD, Crawler, SchedulerConfig, SimClock
@@ -29,7 +35,7 @@ def visit(crawler) -> dict:
     """Drive one stale-queue timeline walk to completion, count requests."""
     mark = len(crawler.log)
     assert crawler._step_tweets("stale"), "no walk started"
-    while crawler._walks["stale"] is not None:
+    while crawler.state.walks["stale"] is not None:
         assert crawler._step_tweets("stale"), "walk stalled"
     out = {"timeline": 0, "show": 0}
     for r in crawler.log[mark:]:
@@ -305,7 +311,9 @@ def test_lookup_error_requeues_batch():
     assert [r["outcome"] for r in lookups].count("api_error") == 1
     assert lookups[0]["outcome"] == "api_error" and len(lookups) > 1
     dropped = [
-        tid for tid in api.failed if store.get_tweet(tid) is None and tid not in crawler._pending
+        tid
+        for tid in api.failed
+        if store.get_tweet(tid) is None and tid not in crawler.state.pending
     ]
     assert not dropped
 
@@ -344,10 +352,10 @@ def test_drain_resolves_a_lookup_batch_that_failed():
     assert api.failed, "no lookup failed during drain"
     failed_at, retry_at = lookup_times(crawler)[:2]
     assert retry_at >= (failed_at // 900 + 1) * 900
-    assert not crawler._lookup_queue
+    assert not crawler.state.lookup_queue
     for tid in api.failed:
         # stored, or answered gone and waiting for its one later retry
-        assert store.get_tweet(tid) is not None or crawler._pending[tid].gone_at is not None
+        assert store.get_tweet(tid) is not None or crawler.state.pending[tid].gone_at is not None
 
 
 class FailOnceAfter:
@@ -491,8 +499,12 @@ def test_walk_that_fetches_a_profile_keeps_its_user_in_the_profiles_queue():
     crawler = Crawler(w, store, RateLimiter(), SimClock(w), cfg)
     crawler.run(w.now + 3 * DAY)
 
-    queue = crawler._scans["profiles"].queue
-    live = {u for _, key, u in queue._heap if queue.key_of(u) == key and queue.live(u)}
+    queue = crawler.state.queues["profiles"]
+    live = {
+        u
+        for _, key, u in queue.heap
+        if crawler._key(queue.stamp, u) == key and crawler._crawlable(u)
+    }
     assert any(  # some walk stamped the profile it fetched
         st.profile_fetched_at is not None and st.profile_fetched_at == st.last_crawled_at
         for st in store.crawl_states.values()
@@ -622,12 +634,12 @@ def test_lookup_batch_failing_twice_is_recorded_as_gone():
     asked = Counter(tid for batch in api.batches for tid in batch)
     assert asked, "no lookup was made"
     assert max(asked.values()) == 2  # the batch, then its one retry
-    assert not crawler._lookup_queue
+    assert not crawler.state.lookup_queue
     times = [r["at"] for r in crawler.log[mark:] if r["endpoint"] == "statuses_lookup"]
     assert len(times) == len(api.batches)
     assert all(b >= (a // 900 + 1) * 900 for a, b in zip(times, times[1:]))
     for tid in asked:
-        ref = crawler._pending.get(tid)
+        ref = crawler.state.pending.get(tid)
         assert store.get_tweet(tid) is not None or (
             ref is not None and ref.gone_at is not None and tid in store.gone_refs[ref.author]
         )
@@ -637,7 +649,7 @@ def test_lookup_batch_failing_twice_is_recorded_as_gone():
     crawler.drain()
     asked = Counter(tid for batch in api.batches for tid in batch)
     assert max(asked.values()) == 3
-    assert not set(asked) & set(crawler._pending)
+    assert not set(asked) & set(crawler.state.pending)
 
 
 def test_unknown_place_ends_the_trends_step():
@@ -668,3 +680,204 @@ def test_a_scan_stamped_at_time_zero_counts_as_a_scan(loop, endpoint):
     assert per_user == dict.fromkeys(w.users, 1)
     if loop == "tweets":
         assert {s.first_crawled_at for s in store.crawl_states.values()} == {0}
+
+
+# -- the crawler's state -------------------------------------------------------
+
+
+def assert_plain(value, path="state") -> None:
+    """Fail unless `value` is built only of None, bools, numbers and strings,
+    in tuples, lists, dicts, sets and deques, and sched's own dataclasses."""
+    if type(value) in (type(None), bool, int, float, str):
+        return
+    if type(value) in (tuple, list, set, deque):
+        for i, item in enumerate(value):
+            assert_plain(item, f"{path}[{i}]")
+    elif type(value) is dict:
+        for key, item in value.items():
+            assert_plain(key, f"{path} key {key!r}")
+            assert_plain(item, f"{path}[{key!r}]")
+    elif is_dataclass(value) and type(value).__module__ == sched.__name__:
+        for f in fields(value):
+            assert_plain(getattr(value, f.name), f"{path}.{f.name}")
+    else:
+        raise AssertionError(f"{path} is a {type(value).__name__}")
+
+
+def handover_limiter() -> RateLimiter:
+    """tight_limiter, and one request per window for every paged scan, so
+    that follow and favorites walks too are in flight across windows."""
+    limiter = tight_limiter()
+    for e in (
+        Endpoint.FRIENDS_IDS,
+        Endpoint.FRIENDS_LIST,
+        Endpoint.FOLLOWERS_IDS,
+        Endpoint.FOLLOWERS_LIST,
+        Endpoint.FAVORITES_LIST,
+    ):
+        limiter.budgets[e] = replace(limiter.budgets[e], max_requests=1)
+    return limiter
+
+
+HANDOVER_HORIZON = 2 * DAY
+
+
+def crawl_handed_over(planner: str, at: int | None, tmp_path) -> tuple[list, dict, list]:
+    """Crawl a busy churning world to the horizon and drain it. At `at`
+    (never if None) the crawl goes on in a fresh Crawler on the same store and
+    world, handed the state and the limiter through pickle. Returns the
+    request logs of both crawlers together, the saved store's files, and the
+    handed-over states."""
+    w = World(
+        WorldConfig(
+            seed=7,
+            n_users=40,
+            community_fractions={"el": 0.6, "en": 0.4},
+            mixed_fraction=0.1,
+            activity_min=20.0,
+            activity_max=200.0,
+            churn_suspend_daily=0.01,
+            churn_delete_daily=0.01,
+            churn_protect_daily=0.01,
+        )
+    )
+    api = FailEveryKth(w, 17)
+    api.armed = True
+    store = Store()
+    cfg = SchedulerConfig(planner=planner)
+    crawler = Crawler(api, store, handover_limiter(), SimClock(w), cfg)
+    log, states = [], []
+    if at is not None:
+        crawler.run(at)
+        log += crawler.log
+        states.append(crawler.state)
+        limiter = pickle.loads(pickle.dumps(crawler.limiter))
+        state = pickle.loads(pickle.dumps(crawler.state))
+        crawler = Crawler(api, store, limiter, SimClock(w), cfg)
+        crawler.state = state
+    crawler.run(w.cfg.start_time + HANDOVER_HORIZON)
+    w.frozen = True
+    crawler.drain()
+    log += crawler.log
+    states.append(crawler.state)
+    path = tmp_path / ("never" if at is None else str(at))
+    store.save(path)
+    return log, {p.name: p.read_bytes() for p in sorted(path.iterdir())}, states
+
+
+@pytest.mark.parametrize("planner", ["priority", "roundrobin"])
+def test_a_crawl_handed_to_a_fresh_crawler_is_unchanged(planner, tmp_path):
+    start = WorldConfig().start_time
+    # three seeded window boundaries in the first two hours, while the first
+    # visits still queue for budget, and the moment just before drain
+    windows = random.Random(planner).sample(range(1, 9), 3)
+    moments = [start + k * WINDOW for k in sorted(windows)] + [start + HANDOVER_HORIZON]
+    log, saved, states = crawl_handed_over(planner, None, tmp_path)
+    assert_plain(states[0])
+    walks, scans = set(), set()
+    for at in moments:
+        log_at, saved_at, states_at = crawl_handed_over(planner, at, tmp_path)
+        assert log_at == log, at
+        assert saved_at == saved, at
+        for state in states_at:
+            assert_plain(state)
+        walks.update(slot for slot, walk in states_at[0].walks.items() if walk is not None)
+        scans.update(states_at[0].scan_walks)
+    assert walks and scans, "no timeline or scan walk was in flight at any handover"
+
+
+class ManualClock:
+    def __init__(self, now: int) -> None:
+        self.t = now
+
+    def now(self) -> int:
+        return self.t
+
+    def sleep_until(self, t: int) -> None:
+        self.t = max(self.t, t)
+
+
+USERS = range(1, 7)
+
+
+def sorted_heap_rig():
+    """Two crawlers on one store of tracked users, the one to keep its heaps
+    as they are and the other to have them replaced by their sorted entries,
+    as a checkpoint would store them. Neither makes a request: no loop runs,
+    and _step_lookup only moves due gone-retries to the lookup queue."""
+    store = Store()
+    for u in USERS:
+        store.set_class(u, UserClass.TRACKED, 0)
+    clock = ManualClock(1000)
+    cfg = SchedulerConfig(loops=(), keywords=("x",), min_staleness=10)
+    both = [Crawler(None, store, RateLimiter(), clock, cfg) for _ in range(2)]
+    for c in both:
+        c.state.lookup_wait = math.inf
+    return store, clock, both
+
+
+QUEUE_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("push"), st.sampled_from(USERS), st.none() | st.integers(0, 40)),
+        st.tuples(st.just("scan"), st.sampled_from(USERS)),
+        st.tuples(st.just("drop"), st.sampled_from(USERS)),
+        st.tuples(st.just("wait"), st.integers(1, 30)),
+        st.tuples(st.just("pop")),
+        st.tuples(st.just("sort")),
+    ),
+    max_size=60,
+)
+
+
+@settings(deadline=None)
+@given(QUEUE_OPS)
+def test_a_revisit_queue_stored_sorted_pops_the_same_users_at_the_same_moments(ops):
+    store, clock, (kept, stored) = sorted_heap_rig()
+    for op, *args in ops:
+        if op == "push":
+            u, wait = args
+            for c in (kept, stored):
+                c._push("stale", u, due=None if wait is None else clock.t + wait)
+        elif op == "scan":  # a later scan supersedes the user's entries
+            state = store.get_crawl_state(args[0])
+            store.put_crawl_state(replace(state, last_crawled_at=clock.t))
+        elif op == "drop":  # for good: no user becomes crawlable again
+            store.set_class(args[0], UserClass.SUSPENDED, clock.t)
+        elif op == "wait":
+            clock.t += args[0]
+        elif op == "pop":
+            assert kept._pop("stale", clock.t) == stored._pop("stale", clock.t)
+        else:
+            stored.state.queues["stale"].heap.sort()
+    while (u := kept._pop("stale", math.inf)) is not None:
+        assert stored._pop("stale", math.inf) == u
+    assert stored._pop("stale", math.inf) is None
+
+
+RETRY_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("gone"), st.integers(1, 8)),
+        st.tuples(st.just("wait"), st.integers(1, 30) | st.just(GONE_RETRY_AFTER)),
+        st.tuples(st.just("sort")),
+    ),
+    max_size=40,
+)
+
+
+@settings(deadline=None)
+@given(RETRY_OPS)
+def test_a_gone_retry_heap_stored_sorted_retries_the_same_references(ops):
+    _, clock, both = sorted_heap_rig()
+    kept, stored = both
+    for op, *args in ops + [("wait", 2 * GONE_RETRY_AFTER)]:
+        if op == "gone":  # answered gone: retried once, a week on; then final
+            for c in both:
+                ref = c.state.pending.setdefault(args[0], sched._PendingRef(99, set()))
+                c._gone(args[0], ref, clock.t)
+        elif op == "wait":
+            clock.t += args[0]
+            for c in both:
+                c._step_lookup()
+            assert kept.state.lookup_queue == stored.state.lookup_queue
+        else:
+            stored.state.gone_retry.sort()
