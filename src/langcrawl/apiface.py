@@ -1,9 +1,13 @@
-"""Platform API contract: endpoints, fixed-window budgets, rate limiting.
+"""Platform API contract: endpoints, page sizes, failures, fixed-window budgets.
 
 Every data source (the synthetic world today, a live adapter someday) exposes
-the same endpoint surface; every consumer must hold a permit from RateLimiter
-before touching an endpoint. Budgets use fixed 900-second windows aligned to
-multiples of 900 since the epoch, matching how platform quotas reset.
+the same endpoint surface, one DataSource method per Endpoint value; every
+consumer must hold a permit from RateLimiter before touching an endpoint.
+Budgets use fixed 900-second windows aligned to multiples of 900 since the
+epoch, matching how platform quotas reset; a Budget sets only a request
+allowance. The page sizes the platform serves are fixed, like WINDOW, and
+live in PAGE_SIZE. Each ApiError class names, in `outcome`, the word a
+request log records for its failure, on the crawler's side and the world's.
 """
 from __future__ import annotations
 
@@ -44,55 +48,69 @@ class Endpoint(enum.Enum):
     STREAM_FILTER = "stream_filter"
 
 
+# Most items one page serves, for each endpoint whose page size is read.
+PAGE_SIZE: dict[Endpoint, int] = {
+    Endpoint.USER_TIMELINE: 200,
+    Endpoint.STATUSES_LOOKUP: 100,
+    Endpoint.FRIENDS_IDS: 5000,
+    Endpoint.FRIENDS_LIST: 200,
+    Endpoint.FOLLOWERS_IDS: 5000,
+    Endpoint.FOLLOWERS_LIST: 200,
+    Endpoint.FAVORITES_LIST: 200,
+    Endpoint.LISTS_MEMBERS: 5000,
+}
+
+
 class ApiError(Exception):
     """Base for endpoint failures that carry crawl-state meaning."""
 
+    outcome = "api_error"  # the request log's word for this failure
+
 
 class UserNotFound(ApiError):
-    pass
+    outcome = "not_found"
 
 
 class UserProtected(ApiError):
-    pass
+    outcome = "protected"
 
 
 class UserSuspended(ApiError):
-    pass
+    outcome = "suspended"
 
 
 class ListNotFound(ApiError):
-    pass
+    outcome = "not_found"
 
 
 class PlaceUnknown(ApiError):
-    pass
+    outcome = "unknown"
 
 
 @dataclass(frozen=True, slots=True)
 class Budget:
     endpoint: Endpoint
     max_requests: int
-    page_size: int
 
 
-# max_requests per 900 s window and the page size each endpoint serves.
+# max_requests per 900 s window.
 DEFAULT_BUDGETS: dict[Endpoint, Budget] = {
     b.endpoint: b
     for b in (
-        Budget(Endpoint.USER_TIMELINE, 900, 200),
-        Budget(Endpoint.STATUSES_LOOKUP, 900, 100),
-        Budget(Endpoint.USERS_SHOW, 900, 1),
-        Budget(Endpoint.FRIENDS_IDS, 15, 5000),
-        Budget(Endpoint.FRIENDS_LIST, 15, 200),
-        Budget(Endpoint.FOLLOWERS_IDS, 15, 5000),
-        Budget(Endpoint.FOLLOWERS_LIST, 15, 200),
-        Budget(Endpoint.FAVORITES_LIST, 75, 200),
-        Budget(Endpoint.LISTS_MEMBERSHIPS, 75, 1000),
-        Budget(Endpoint.LISTS_OWNERSHIPS, 15, 1000),
-        Budget(Endpoint.LISTS_SUBSCRIPTIONS, 15, 1000),
-        Budget(Endpoint.LISTS_MEMBERS, 900, 5000),
-        Budget(Endpoint.TRENDS_PLACE, 75, 50),
-        Budget(Endpoint.STREAM_FILTER, 5, 0),
+        Budget(Endpoint.USER_TIMELINE, 900),
+        Budget(Endpoint.STATUSES_LOOKUP, 900),
+        Budget(Endpoint.USERS_SHOW, 900),
+        Budget(Endpoint.FRIENDS_IDS, 15),
+        Budget(Endpoint.FRIENDS_LIST, 15),
+        Budget(Endpoint.FOLLOWERS_IDS, 15),
+        Budget(Endpoint.FOLLOWERS_LIST, 15),
+        Budget(Endpoint.FAVORITES_LIST, 75),
+        Budget(Endpoint.LISTS_MEMBERSHIPS, 75),
+        Budget(Endpoint.LISTS_OWNERSHIPS, 15),
+        Budget(Endpoint.LISTS_SUBSCRIPTIONS, 15),
+        Budget(Endpoint.LISTS_MEMBERS, 900),
+        Budget(Endpoint.TRENDS_PLACE, 75),
+        Budget(Endpoint.STREAM_FILTER, 5),
     )
 }
 
@@ -177,7 +195,7 @@ class DataSource(Protocol):
         u: UserId,
         since: TweetId | None = None,
         max_id: TweetId | None = None,
-        count: int = 200,
+        count: int = PAGE_SIZE[Endpoint.USER_TIMELINE],
     ) -> list[Tweet]:
         """Newest-first page of u's tweets with since < id <= max_id.
 
@@ -209,7 +227,10 @@ class DataSource(Protocol):
         ...
 
     def favorites_list(
-        self, u: UserId, max_id: TweetId | None = None, count: int = 200
+        self,
+        u: UserId,
+        max_id: TweetId | None = None,
+        count: int = PAGE_SIZE[Endpoint.FAVORITES_LIST],
     ) -> list[FavoriteRecord]:
         """Likes ordered by the liked tweet's creation date, newest first."""
         ...

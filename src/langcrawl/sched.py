@@ -49,6 +49,7 @@ from typing import Callable, Protocol
 from . import classify as cls
 from . import lexicons as lex
 from .apiface import (
+    PAGE_SIZE,
     TIMELINE_DEPTH,
     WINDOW,
     ApiError,
@@ -162,11 +163,11 @@ _BLOCKED = "blocked"
 _OK = "ok"
 _ERR = "error"
 
-# error -> (request log outcome, class the user moves to)
+# error -> the class its user moves to
 _USER_ERRORS = {
-    UserNotFound: ("not_found", UserClass.DEAD),
-    UserSuspended: ("suspended", UserClass.SUSPENDED),
-    UserProtected: ("protected", UserClass.PROTECTED),
+    UserNotFound: UserClass.DEAD,
+    UserSuspended: UserClass.SUSPENDED,
+    UserProtected: UserClass.PROTECTED,
 }
 
 
@@ -360,23 +361,20 @@ class Crawler:
 
     # -- plumbing ---------------------------------------------------------------
 
-    def _request(self, endpoint: Endpoint, target, call: Callable):
-        """Make one request if the limiter grants it, and log it."""
+    def _request(self, endpoint: Endpoint, target, *args, **kwargs):
+        """Call the API method named by `endpoint` with the given arguments if
+        the limiter grants it, and log the request under `target`."""
         now = self.clock.now()
         if isinstance(self.limiter.acquire(endpoint, now), RetryAfter):
             return _BLOCKED, None
         try:
-            status, value, outcome = _OK, call(), _OK
+            status, value, outcome = _OK, getattr(self.api, endpoint.value)(*args, **kwargs), _OK
         except ApiError as exc:
-            status, value = _ERR, exc
-            outcome, _ = _USER_ERRORS.get(type(exc), ("api_error", None))
+            status, value, outcome = _ERR, exc, exc.outcome
         self.log.append(
             {"endpoint": endpoint.value, "target": target, "at": now, "outcome": outcome}
         )
         return status, value
-
-    def _page(self, endpoint: Endpoint) -> int:
-        return self.limiter.budgets[endpoint].page_size
 
     def _on_error(self, u: UserId, exc: ApiError, source: str) -> None:
         """The error policy of every per-user request: apply the class
@@ -384,7 +382,7 @@ class Crawler:
         came from, scan stamp unchanged, due when the next budget window
         opens. (_step_tweets puts a cycle walk's user back.)"""
         now = self.clock.now()
-        _, new = _USER_ERRORS.get(type(exc), (None, None))
+        new = _USER_ERRORS.get(type(exc))
         if new is not None:
             self.store.set_class(u, new, now)
         if source in self.state.queues:
@@ -543,9 +541,7 @@ class Crawler:
         if walk.last_page_full and walk.delta is None:  # arm the stop count
             snap = self.store.latest_snapshot(walk.user)
             if snap is None or snap.observed_at < walk.started_at:
-                status, result = self._request(
-                    Endpoint.USERS_SHOW, walk.user, lambda: self.api.users_show(walk.user)
-                )
+                status, result = self._request(Endpoint.USERS_SHOW, walk.user, walk.user)
                 if status == _BLOCKED:
                     return _BLOCKED
                 if status == _ERR:
@@ -566,14 +562,15 @@ class Crawler:
             if walk.fetched_profile:
                 return "progress"
 
-        page_size = self._page(Endpoint.USER_TIMELINE)
+        page_size = PAGE_SIZE[Endpoint.USER_TIMELINE]
         max_id = None if walk.min_seen is None else walk.min_seen - 1  # below the pages seen
         status, page = self._request(
             Endpoint.USER_TIMELINE,
             walk.user,
-            lambda: self.api.user_timeline(
-                walk.user, since=walk.since, max_id=max_id, count=page_size
-            ),
+            walk.user,
+            since=walk.since,
+            max_id=max_id,
+            count=page_size,
         )
         if status == _BLOCKED:
             return _BLOCKED
@@ -690,7 +687,7 @@ class Crawler:
                 st.lookup_queue.append(tid)
         if not st.lookup_queue or now < st.lookup_wait:
             return False
-        batch_size = self._page(Endpoint.STATUSES_LOOKUP)
+        batch_size = PAGE_SIZE[Endpoint.STATUSES_LOOKUP]
         batch: list[TweetId] = []
         while st.lookup_queue and len(batch) < batch_size:
             tid = st.lookup_queue.popleft()
@@ -704,9 +701,7 @@ class Crawler:
             batch.append(tid)
         if not batch:
             return False
-        status, results = self._request(
-            Endpoint.STATUSES_LOOKUP, len(batch), lambda: self.api.statuses_lookup(batch)
-        )
+        status, results = self._request(Endpoint.STATUSES_LOOKUP, len(batch), batch)
         if status == _BLOCKED:
             st.lookup_queue.extendleft(reversed(batch))
             return False
@@ -757,7 +752,13 @@ class Crawler:
                 self._pop(name, now)
                 walks[name] = walk
         endpoint = loop.endpoints[walk.phase]
-        status, result = self._request(endpoint, walk.user, lambda: self._fetch(endpoint, walk))
+        # favorites page below a max_id cursor, the follow endpoints by their
+        # cursor, and the one-request visits by their user alone
+        if endpoint is Endpoint.FAVORITES_LIST:
+            kwargs = {"max_id": walk.cursor, "count": PAGE_SIZE[endpoint]}
+        else:
+            kwargs = {"cursor": walk.cursor} if loop.paged else {}
+        status, result = self._request(endpoint, walk.user, walk.user, **kwargs)
         if status == _BLOCKED:
             return False
         if not loop.paged:
@@ -774,14 +775,6 @@ class Crawler:
                 self._set_stamp(self.state.queues[name].stamp, walk.user)
                 self._push(name, walk.user)
         return True
-
-    def _fetch(self, e: Endpoint, walk: _ScanWalk):
-        """A scan visit's next page: favorites below the max_id cursor, any
-        other paged endpoint by its cursor once it has one."""
-        call = getattr(self.api, e.value)
-        if e is Endpoint.FAVORITES_LIST:
-            return call(walk.user, max_id=walk.cursor, count=self._page(e))
-        return call(walk.user) if walk.cursor is None else call(walk.user, cursor=walk.cursor)
 
     def _take_follow(self, kind: str, walk: _ScanWalk, result) -> int | None:
         items, nxt = result
@@ -807,7 +800,7 @@ class Crawler:
         # keep descending past known likes: older new ones may hide below,
         # until enough known history proves the rest was covered before
         if (
-            len(page) < self._page(Endpoint.FAVORITES_LIST)
+            len(page) < PAGE_SIZE[Endpoint.FAVORITES_LIST]
             or walk.known >= FAVORITES_KNOWN_STOP
         ):
             return None
@@ -850,9 +843,7 @@ class Crawler:
             return False
         list_id = st.member_queue[0]
         status, result = self._request(
-            Endpoint.LISTS_MEMBERS,
-            list_id,
-            lambda: self.api.lists_members(list_id, cursor=st.member_cursor),
+            Endpoint.LISTS_MEMBERS, list_id, list_id, cursor=st.member_cursor
         )
         if status == _BLOCKED:
             return False
@@ -883,9 +874,7 @@ class Crawler:
             last = last_trend.get(place)
             if last is not None and now - last < TRENDS_PERIOD:
                 continue
-            status, snap = self._request(
-                Endpoint.TRENDS_PLACE, place, lambda: self.api.trends_place(place)
-            )
+            status, snap = self._request(Endpoint.TRENDS_PLACE, place, place)
             if status == _BLOCKED:
                 return False
             last_trend[place] = now
@@ -899,9 +888,7 @@ class Crawler:
         if self.state.last_stream is not None and now - self.state.last_stream < STREAM_PERIOD:
             return False
         status, tweets = self._request(
-            Endpoint.STREAM_FILTER,
-            len(self.keywords),
-            lambda: self.api.stream_filter(self.keywords, STREAM_READ_SIZE),
+            Endpoint.STREAM_FILTER, len(self.keywords), self.keywords, STREAM_READ_SIZE
         )
         if status == _BLOCKED:
             return False

@@ -21,12 +21,13 @@ from collections import Counter, deque
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NoReturn
 
 from . import lexicons as lex
 from .apiface import (
-    DEFAULT_BUDGETS,
+    PAGE_SIZE,
     TIMELINE_DEPTH,
+    ApiError,
     Cursor,
     Endpoint,
     GONE,
@@ -280,7 +281,6 @@ class World:
         self.list_subscribers: dict[ListId, list[UserId]] = {}
         self.request_log: list[dict] = []
         self.frozen = False  # when set, advance moves the clock only
-        self._next_tweet_id = 1
         self._events: list[tuple[float, UserId]] = []
         # hashtags of the last day, oldest first, and their counts
         self._recent_tags: deque[tuple[Timestamp, str]] = deque()
@@ -589,17 +589,15 @@ class World:
                 )
                 words += [f"#{t}" for t in hashtags]
             if rng.random() < 0.10:
-                tid_hint = self._next_tweet_id
+                tid_hint = len(self.tweet_log) + 1
                 short = f"https://sh.rt/{_b36(tid_hint * 7 + 5)}"
                 expanded = f"https://{rng.choice(_DOMAINS)}/p/{tid_hint}"
                 urls = ((short, expanded),)
                 words.append(short)
             text = " ".join(words)
 
-        tid = self._next_tweet_id
-        self._next_tweet_id += 1
         tweet = Tweet(
-            id=tid,
+            id=len(self.tweet_log) + 1,
             author=user.uid,
             created_at=self.now,
             text=text,
@@ -614,7 +612,7 @@ class World:
             truncated=False,
         )
         user.tweets.append(tweet)
-        user.tweet_ids.append(tid)
+        user.tweet_ids.append(tweet.id)
         self.tweet_log.append(tweet)
         if hashtags:
             for tag in hashtags:
@@ -672,20 +670,23 @@ class World:
 
     # -- scripted mutators (tests and controlled scenarios) ----------------------
 
-    def emit_tweet(self, u: UserId, **kwargs) -> Tweet:
-        """Force one tweet now. kwargs: kind, target (Tweet), mentions, text, lang."""
-        user = self.users[u]
+    def emit_tweet(
+        self,
+        u: UserId,
+        kind: str = "plain",
+        target: Tweet | None = None,
+        mentions: Iterable[UserId] = (),
+        text: str | None = None,
+        lang: str | None = None,
+    ) -> Tweet:
+        """Force one tweet now."""
         return self._materialize_tweet(
-            user,
-            kwargs.get("kind", "plain"),
-            kwargs.get("target"),
-            tuple(kwargs.get("mentions", ())),
-            text=kwargs.get("text"),
-            lang=kwargs.get("lang"),
+            self.users[u], kind, target, tuple(mentions), text=text, lang=lang
         )
 
     def emit_tweets(self, u: UserId, n: int, gap: int = 1, **kwargs) -> list[Tweet]:
-        """n scripted tweets spaced gap seconds apart, advancing the clock."""
+        """n scripted tweets spaced gap seconds apart, advancing the clock;
+        kwargs as for emit_tweet."""
         out = []
         for _ in range(n):
             self.now += gap
@@ -719,17 +720,18 @@ class World:
             }
         )
 
+    def _fail(self, endpoint: Endpoint, target, exc: ApiError) -> NoReturn:
+        self._log(endpoint, target, exc.outcome)
+        raise exc
+
     def _visible_user(self, u: UserId, endpoint: Endpoint, profile_ok: bool = False) -> SimUser:
         user = self.users.get(u)
         if user is None or user.status == "deleted":
-            self._log(endpoint, u, "not_found")
-            raise UserNotFound(str(u))
+            self._fail(endpoint, u, UserNotFound(str(u)))
         if user.status == "suspended":
-            self._log(endpoint, u, "suspended")
-            raise UserSuspended(str(u))
+            self._fail(endpoint, u, UserSuspended(str(u)))
         if user.status == "protected" and not profile_ok:
-            self._log(endpoint, u, "protected")
-            raise UserProtected(str(u))
+            self._fail(endpoint, u, UserProtected(str(u)))
         return user
 
     def user_timeline(
@@ -737,7 +739,7 @@ class World:
         u: UserId,
         since: TweetId | None = None,
         max_id: TweetId | None = None,
-        count: int = DEFAULT_BUDGETS[Endpoint.USER_TIMELINE].page_size,
+        count: int = PAGE_SIZE[Endpoint.USER_TIMELINE],
     ) -> list[Tweet]:
         user = self._visible_user(u, Endpoint.USER_TIMELINE)
         ids = user.tweet_ids
@@ -761,7 +763,7 @@ class World:
 
     def statuses_lookup(self, ids: Iterable[TweetId]) -> dict[TweetId, LookupResult]:
         ids = list(ids)
-        assert len(ids) <= DEFAULT_BUDGETS[Endpoint.STATUSES_LOOKUP].page_size
+        assert len(ids) <= PAGE_SIZE[Endpoint.STATUSES_LOOKUP]
         out: dict[TweetId, LookupResult] = {}
         hits = 0
         for tid in ids:
@@ -779,56 +781,46 @@ class World:
         self._log(Endpoint.USERS_SHOW, u, "ok")
         return user.snapshot(self.now)
 
-    def _page_ids(
-        self, seq: list[UserId], cursor: Cursor, endpoint: Endpoint
-    ) -> tuple[list[UserId], Cursor]:
-        page = DEFAULT_BUDGETS[endpoint].page_size
+    def _enumerate(
+        self, endpoint: Endpoint, target, seq: list[UserId], cursor: Cursor, profiles: bool = False
+    ) -> tuple[list, Cursor]:
+        """The page of `seq` at `cursor`, as ids or as profiles, logged under `target`."""
+        page = PAGE_SIZE[endpoint]
         start = cursor or 0
         # suspended and deleted accounts drop out of enumerations
         users = self.users
         chunk = [v for v in seq[start : start + page] if users[v].status in ("ok", "protected")]
+        self._log(endpoint, target, f"ok:{len(chunk)}")
+        if profiles:
+            chunk = [users[v].snapshot(self.now) for v in chunk]
         nxt = start + page
         return chunk, (nxt if nxt < len(seq) else None)
 
     def friends_ids(self, u: UserId, cursor: Cursor = None) -> tuple[list[UserId], Cursor]:
         user = self._visible_user(u, Endpoint.FRIENDS_IDS)
-        out = self._page_ids(user.friends, cursor, Endpoint.FRIENDS_IDS)
-        self._log(Endpoint.FRIENDS_IDS, u, f"ok:{len(out[0])}")
-        return out
+        return self._enumerate(Endpoint.FRIENDS_IDS, u, user.friends, cursor)
 
     def followers_ids(self, u: UserId, cursor: Cursor = None) -> tuple[list[UserId], Cursor]:
         user = self._visible_user(u, Endpoint.FOLLOWERS_IDS)
-        out = self._page_ids(user.followers, cursor, Endpoint.FOLLOWERS_IDS)
-        self._log(Endpoint.FOLLOWERS_IDS, u, f"ok:{len(out[0])}")
-        return out
-
-    def _snapshot_page(
-        self, seq: list[UserId], cursor: Cursor, endpoint: Endpoint
-    ) -> tuple[list[UserSnapshot], Cursor]:
-        ids, nxt = self._page_ids(seq, cursor, endpoint)
-        return [self.users[v].snapshot(self.now) for v in ids], nxt
+        return self._enumerate(Endpoint.FOLLOWERS_IDS, u, user.followers, cursor)
 
     def friends_list(
         self, u: UserId, cursor: Cursor = None
     ) -> tuple[list[UserSnapshot], Cursor]:
         user = self._visible_user(u, Endpoint.FRIENDS_LIST)
-        out = self._snapshot_page(user.friends, cursor, Endpoint.FRIENDS_LIST)
-        self._log(Endpoint.FRIENDS_LIST, u, f"ok:{len(out[0])}")
-        return out
+        return self._enumerate(Endpoint.FRIENDS_LIST, u, user.friends, cursor, profiles=True)
 
     def followers_list(
         self, u: UserId, cursor: Cursor = None
     ) -> tuple[list[UserSnapshot], Cursor]:
         user = self._visible_user(u, Endpoint.FOLLOWERS_LIST)
-        out = self._snapshot_page(user.followers, cursor, Endpoint.FOLLOWERS_LIST)
-        self._log(Endpoint.FOLLOWERS_LIST, u, f"ok:{len(out[0])}")
-        return out
+        return self._enumerate(Endpoint.FOLLOWERS_LIST, u, user.followers, cursor, profiles=True)
 
     def favorites_list(
         self,
         u: UserId,
         max_id: TweetId | None = None,
-        count: int = DEFAULT_BUDGETS[Endpoint.FAVORITES_LIST].page_size,
+        count: int = PAGE_SIZE[Endpoint.FAVORITES_LIST],
     ) -> list[FavoriteRecord]:
         user = self._visible_user(u, Endpoint.FAVORITES_LIST)
         ids = user.liked_ids
@@ -843,36 +835,29 @@ class World:
         self._log(Endpoint.FAVORITES_LIST, u, f"ok:{len(page)}")
         return page
 
-    def _list_records(self, list_ids: list[ListId]) -> list[ListRecord]:
+    def _lists(self, endpoint: Endpoint, u: UserId, kind: str) -> list[ListRecord]:
+        """u's lists of one kind: the SimUser field `kind` holds their ids."""
+        list_ids = getattr(self._visible_user(u, endpoint), kind)
+        self._log(endpoint, u, f"ok:{len(list_ids)}")
         return [self.lists[i] for i in list_ids]
 
     def lists_memberships(self, u: UserId) -> list[ListRecord]:
-        user = self._visible_user(u, Endpoint.LISTS_MEMBERSHIPS)
-        self._log(Endpoint.LISTS_MEMBERSHIPS, u, f"ok:{len(user.memberships)}")
-        return self._list_records(user.memberships)
+        return self._lists(Endpoint.LISTS_MEMBERSHIPS, u, "memberships")
 
     def lists_ownerships(self, u: UserId) -> list[ListRecord]:
-        user = self._visible_user(u, Endpoint.LISTS_OWNERSHIPS)
-        self._log(Endpoint.LISTS_OWNERSHIPS, u, f"ok:{len(user.ownerships)}")
-        return self._list_records(user.ownerships)
+        return self._lists(Endpoint.LISTS_OWNERSHIPS, u, "ownerships")
 
     def lists_subscriptions(self, u: UserId) -> list[ListRecord]:
-        user = self._visible_user(u, Endpoint.LISTS_SUBSCRIPTIONS)
-        self._log(Endpoint.LISTS_SUBSCRIPTIONS, u, f"ok:{len(user.subscriptions)}")
-        return self._list_records(user.subscriptions)
+        return self._lists(Endpoint.LISTS_SUBSCRIPTIONS, u, "subscriptions")
 
     def lists_members(self, list_id: ListId, cursor: Cursor = None) -> tuple[list[UserId], Cursor]:
         if list_id not in self.lists:
-            self._log(Endpoint.LISTS_MEMBERS, list_id, "not_found")
-            raise ListNotFound(str(list_id))
-        out = self._page_ids(self.list_members[list_id], cursor, Endpoint.LISTS_MEMBERS)
-        self._log(Endpoint.LISTS_MEMBERS, list_id, f"ok:{len(out[0])}")
-        return out
+            self._fail(Endpoint.LISTS_MEMBERS, list_id, ListNotFound(str(list_id)))
+        return self._enumerate(Endpoint.LISTS_MEMBERS, list_id, self.list_members[list_id], cursor)
 
     def trends_place(self, place: str) -> TrendSnapshot:
         if place not in self.cfg.places:
-            self._log(Endpoint.TRENDS_PLACE, place, "unknown")
-            raise PlaceUnknown(place)
+            self._fail(Endpoint.TRENDS_PLACE, place, PlaceUnknown(place))
         # tweets are made in clock order, so the day's oldest tags lead
         horizon = self.now - DAY
         recent, counts = self._recent_tags, self._tag_counts

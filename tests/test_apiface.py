@@ -4,11 +4,14 @@ from hypothesis import given, strategies as st
 from langcrawl.apiface import (
     DEFAULT_BUDGETS,
     GRANTED,
+    PAGE_SIZE,
     WINDOW,
+    DataSource,
     Endpoint,
     RateLimiter,
     RetryAfter,
 )
+from langcrawl.simnet import World
 
 
 def test_grants_up_to_budget_then_blocks():
@@ -75,7 +78,15 @@ def test_retry_after_reaches_next_window():
 
 
 def test_page_sizes_match_contract():
-    assert DEFAULT_BUDGETS[Endpoint.USER_TIMELINE].page_size == 200
-    assert DEFAULT_BUDGETS[Endpoint.STATUSES_LOOKUP].page_size == 100
-    assert DEFAULT_BUDGETS[Endpoint.FRIENDS_IDS].page_size == 5000
+    assert PAGE_SIZE[Endpoint.USER_TIMELINE] == 200
+    assert PAGE_SIZE[Endpoint.STATUSES_LOOKUP] == 100
+    assert PAGE_SIZE[Endpoint.FRIENDS_IDS] == 5000
     assert WINDOW == 900
+
+
+@pytest.mark.parametrize("endpoint", list(Endpoint), ids=lambda e: e.value)
+def test_every_endpoint_names_a_source_method(endpoint):
+    """The crawler calls each endpoint by its value, so a renamed method
+    would otherwise fail only once a request is made."""
+    assert callable(getattr(DataSource, endpoint.value, None))
+    assert callable(getattr(World, endpoint.value, None))

@@ -666,6 +666,63 @@ def test_unknown_place_ends_the_trends_step():
         assert times == [w.cfg.start_time + k * TRENDS_PERIOD for k in range(8)]
 
 
+def user_failure(status):
+    def provoke():
+        w, uid, _, crawler = one_user_rig()
+        w.churn_user(uid, status)
+        crawler._step_tweets("stale")
+        return w, crawler
+
+    return provoke
+
+
+def deleted_list():
+    """The lists loop queues a list for its members, and the list is deleted
+    before its members are asked for."""
+    w = lookup_world()
+    u = min(v for v in w.users if w.users[v].memberships)
+    store = Store()
+    store.set_class(u, UserClass.TRACKED, w.now)
+    crawler = Crawler(w, store, RateLimiter(), SimClock(w), SchedulerConfig(loops=("lists",)))
+    while not crawler.state.member_queue:
+        assert crawler._step_lists()
+    gone = crawler.state.member_queue[0]
+    del w.lists[gone]
+    for user in w.users.values():
+        for ids in (user.memberships, user.ownerships, user.subscriptions):
+            if gone in ids:
+                ids.remove(gone)
+    while all(r["endpoint"] != "lists_members" for r in crawler.log):
+        assert crawler._step_lists()
+    return w, crawler
+
+
+def unknown_place():
+    w = World(WorldConfig(seed=5, n_users=20))
+    cfg = SchedulerConfig(loops=("trends",), places=("Nowhere",))
+    crawler = Crawler(w, Store(), RateLimiter(), SimClock(w), cfg)
+    crawler._step_trends()
+    return w, crawler
+
+
+@pytest.mark.parametrize(
+    "provoke,endpoint",
+    [
+        (user_failure("deleted"), "user_timeline"),
+        (user_failure("suspended"), "user_timeline"),
+        (user_failure("protected"), "user_timeline"),
+        (deleted_list, "lists_members"),
+        (unknown_place, "trends_place"),
+    ],
+    ids=["deleted", "suspended", "protected", "list_not_found", "place_unknown"],
+)
+def test_crawler_and_world_log_the_same_outcome_for_a_failure(provoke, endpoint):
+    w, crawler = provoke()
+    failed = [i for i, r in enumerate(w.request_log) if not r["outcome"].startswith("ok")]
+    assert len(failed) == 1 and w.request_log[failed[0]]["endpoint"] == endpoint
+    assert crawler.log[failed[0]] == w.request_log[failed[0]]
+
+
 @pytest.mark.parametrize("loop,endpoint", [("tweets", "user_timeline"), ("profiles", "users_show")])
 def test_a_scan_stamped_at_time_zero_counts_as_a_scan(loop, endpoint):
     """A world that starts at the epoch stamps its first scans 0. Each user is

@@ -113,6 +113,18 @@ def test_emit_tweets_scripted():
     assert w.users[u].tweet_ids[-5:] == [t.id for t in out]
 
 
+def test_emit_tweet_rejects_unknown_keywords():
+    w = small_world()
+    w.frozen = True
+    u = next(iter(w.users))
+    before = len(w.tweet_log)
+    with pytest.raises(TypeError):
+        w.emit_tweet(u, knd="reply")
+    with pytest.raises(TypeError):
+        w.emit_tweets(u, 5, txt="x")
+    assert len(w.tweet_log) == before
+
+
 def test_emit_like_and_emit_kinds():
     w = small_world()
     w.frozen = True
